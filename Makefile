@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint-spans lint-alloc race cover fuzz bench bench-json loadtest profile experiments experiments-full corpora clean
+.PHONY: check build test vet vet-perfbench lint-spans lint-alloc race cover fuzz bench bench-json loadtest profile experiments experiments-full corpora clean
 
 # The default pre-merge gate: compile, lint, unit tests, the race pass over
 # the concurrent serving path (chaos suite included), and the coverage floor.
-check: build vet lint-spans lint-alloc test race cover
+check: build vet vet-perfbench lint-spans lint-alloc test race cover
 
 # Span hygiene: every obs.StartSpan must have a matching End in the same
 # function — a leaked span never reaches the trace recorder.
@@ -27,6 +27,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own module (replace ../), so the root `go build ./...`
+# never compiles it; vetting it here catches an API change that would
+# silently break the repository benchmark.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./...
 
 # Race-detect the concurrent paths: the staged inference engine, the
 # data-parallel trainer (worker-count bit-identity + train chaos suites live

@@ -257,7 +257,8 @@ func BenchmarkPredictBatch(b *testing.B) {
 // observability overhead (budget: <2% at batch 16).
 func BenchmarkPredictBatchInstrumented(b *testing.B) {
 	m, c := benchModel(b)
-	eng := infer.New(m, infer.WithMetrics(obs.NewRegistry()))
+	eng := infer.New(m)
+	eng.EnableMetrics(obs.NewRegistry())
 	for _, size := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("tables%d", size), func(b *testing.B) {
 			tables := make([]*table.Table, size)
@@ -296,8 +297,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 	b.Run("obs_on", func(b *testing.B) {
 		reg := obs.NewRegistry()
-		eng := infer.New(m, infer.WithMetrics(reg),
-			infer.WithDrift(obs.NewDriftMonitor(m.ComputeDriftBaseline(c.Tables[:4]))))
+		eng := infer.New(m)
+		eng.EnableMetrics(reg)
+		eng.EnableDrift(obs.NewDriftMonitor(m.ComputeDriftBaseline(c.Tables[:4])))
 		rec := obs.NewTraceRecorder(obs.TraceConfig{SampleRate: 0.01})
 		root := obs.WithRecorder(obs.WithRegistry(context.Background(), reg), rec)
 		b.ResetTimer()

@@ -214,7 +214,10 @@ func cmdEval(args []string) {
 	for i, st := range c.Types {
 		c.LabelIndex[st] = i
 	}
-	split, preds := infer.New(m).Evaluate(c, idx)
+	split, preds, err := m.EvaluateCtx(context.Background(), c, idx, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("columns scored: %d\n", len(preds))
 	fmt.Printf("weighted F1: numeric=%.3f non-numeric=%.3f overall=%.3f\n",
 		split.Numeric.WeightedF1, split.NonNumeric.WeightedF1, split.Overall.WeightedF1)
@@ -306,7 +309,8 @@ func cmdServe(args []string) {
 		log.Fatal(err)
 	}
 	m := bundle.Model
-	eng := infer.New(m, infer.WithWorkers(*workers), infer.WithMetrics(obs.NewRegistry()))
+	eng := infer.New(m, infer.WithWorkers(*workers))
+	eng.EnableMetrics(obs.NewRegistry())
 	// The drift sidecar is optional — a model trained before baselines
 	// existed still serves, just without drift gauges.
 	if bundle.Drift != nil {

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/sematype/pythagoras/internal/fsutil"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -113,21 +114,18 @@ func (m *Model) ComputeDriftBaseline(tables []*table.Table) obs.DriftBaseline {
 }
 
 // SaveDriftBaseline writes a drift baseline sidecar: the shared versioned
-// header followed by the baseline as JSON.
+// header followed by the baseline as JSON, written atomically like the
+// checkpoint itself.
 func SaveDriftBaseline(path string, b obs.DriftBaseline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := writeHeader(f, DriftBaselineVersion); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(b); err != nil {
-		return fmt.Errorf("core: encode drift baseline: %w", err)
-	}
-	return f.Close()
+	return fsutil.WriteFile(path, ".drift-*.tmp", 0o644, func(w io.Writer) error {
+		if err := writeHeader(w, DriftBaselineVersion); err != nil {
+			return err
+		}
+		if err := json.NewEncoder(w).Encode(b); err != nil {
+			return fmt.Errorf("core: encode drift baseline: %w", err)
+		}
+		return nil
+	})
 }
 
 // ServingBundle is everything a serving process loads for one model

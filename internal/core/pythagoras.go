@@ -26,6 +26,7 @@ import (
 	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/features"
+	"github.com/sematype/pythagoras/internal/fsutil"
 	"github.com/sematype/pythagoras/internal/gnn"
 	"github.com/sematype/pythagoras/internal/graph"
 	"github.com/sematype/pythagoras/internal/lm"
@@ -547,7 +548,7 @@ func Train(c *data.Corpus, trainIdx, valIdx []int, cfg Config) (*Model, error) {
 // the first non-improving epoch.
 const defaultPatience = 30
 
-// valChunk caps how many validation tables are unioned into one scoring
+// valChunk caps how many tables scorePreparedCtx unions into one scoring
 // forward — the inference engine's default maxBatch.
 const valChunk = 16
 
@@ -603,19 +604,8 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 
 	logf("pythagoras: preparing %d train / %d val tables (%d workers)",
 		len(trainIdx), len(valIdx), workers)
-	prepare := func(prep []*Prepared, idx []int) error {
-		return par.For(ctx, workers, len(idx), func(i int) error {
-			if err := cfg.Faults.Fire(ctx, faultinject.TrainPrepare); err != nil {
-				return err
-			}
-			t0 := time.Now()
-			prep[i] = m.Prepare(c.Tables[idx[i]])
-			prepHist.Since(t0)
-			return nil
-		})
-	}
-	trainPrep := make([]*Prepared, len(trainIdx))
-	if err := prepare(trainPrep, trainIdx); err != nil {
+	trainPrep, err := m.prepareTables(ctx, c, trainIdx, workers, cfg.Faults, prepHist)
+	if err != nil {
 		return nil, err
 	}
 	// The scaling fits run serially after the parallel prepare: their
@@ -623,8 +613,8 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 	// contract.
 	m.fitFeatureScaling(trainPrep)
 	m.fitStateScaling(trainPrep)
-	valPrep := make([]*Prepared, len(valIdx))
-	if err := prepare(valPrep, valIdx); err != nil {
+	valPrep, err := m.prepareTables(ctx, c, valIdx, workers, cfg.Faults, prepHist)
+	if err != nil {
 		return nil, err
 	}
 
@@ -672,7 +662,7 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 				return nil, err
 			}
 			t0 := time.Now()
-			split, err := m.scorePreparedCtx(ctx, valPrep, workers)
+			split, _, err := m.scorePreparedCtx(ctx, valPrep, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -695,6 +685,26 @@ func TrainCtx(ctx context.Context, c *data.Corpus, trainIdx, valIdx []int, cfg C
 			stopper.NaNsSeen())
 	}
 	return m, nil
+}
+
+// prepareTables runs stages 1–2 (Prepare) on c.Tables[idx[i]] for every i,
+// fanned out over workers with par.For's drain-on-cancel semantics. fs fires
+// TrainPrepare before each table and hist times each one; both may be nil.
+func (m *Model) prepareTables(ctx context.Context, c *data.Corpus, idx []int, workers int, fs *faultinject.Set, hist *obs.Histogram) ([]*Prepared, error) {
+	ps := make([]*Prepared, len(idx))
+	err := par.For(ctx, workers, len(idx), func(i int) error {
+		if err := fs.Fire(ctx, faultinject.TrainPrepare); err != nil {
+			return err
+		}
+		t0 := time.Now()
+		ps[i] = m.Prepare(c.Tables[idx[i]])
+		hist.Since(t0)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ps, nil
 }
 
 // trainGate is the trainer's per-stage interruption check: context first,
@@ -808,21 +818,16 @@ func subBatchSeed(seed int64, step, sub int) int64 {
 	return int64(h)
 }
 
-// scorePrepared evaluates prepared tables (no dropout, no grads) serially.
-func (m *Model) scorePrepared(ps []*Prepared) *eval.Split {
-	split, _ := m.scorePreparedCtx(context.Background(), ps, 1)
-	return split
-}
-
-// scorePreparedCtx evaluates prepared tables in parallel: the tables are
-// chunked (never more than valChunk per union), each chunk scored with one
-// gradient-free union forward, and the per-chunk predictions concatenated
-// in chunk order. Chunk boundaries depend on the worker count but the
-// predictions do not: a union forward is bit-identical to the per-table
-// forwards it replaces, so the resulting metrics are worker-count
-// independent — which matters, because the validation F1 feeds the early
-// stopper and thereby the final parameters.
-func (m *Model) scorePreparedCtx(ctx context.Context, ps []*Prepared, workers int) (*eval.Split, error) {
+// scorePreparedCtx is the one chunked labeled-scoring routine, behind both
+// the trainer's validation and EvaluateCtx. It evaluates prepared tables in
+// parallel: the tables are chunked (never more than valChunk per union),
+// each chunk scored with one gradient-free union forward, and the
+// per-chunk predictions concatenated in chunk order. Chunk boundaries
+// depend on the worker count but the predictions do not: a union forward is
+// bit-identical to the per-table forwards it replaces, so the predictions
+// and metrics are worker-count independent — which matters, because the
+// validation F1 feeds the early stopper and thereby the final parameters.
+func (m *Model) scorePreparedCtx(ctx context.Context, ps []*Prepared, workers int) (*eval.Split, []eval.Prediction, error) {
 	bounds := par.Bounds(len(ps), workers, valChunk)
 	chunkPreds := make([][]eval.Prediction, len(bounds))
 	err := par.For(ctx, workers, len(bounds), func(ci int) error {
@@ -835,19 +840,19 @@ func (m *Model) scorePreparedCtx(ctx context.Context, ps []*Prepared, workers in
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var preds []eval.Prediction
 	for _, cp := range chunkPreds {
 		preds = append(preds, cp...)
 	}
-	return eval.ComputeSplit(preds), nil
+	return eval.ComputeSplit(preds), preds, nil
 }
 
 // LabeledPredictions runs an inference forward pass over a prepared batch
 // and returns one eval.Prediction per labeled target node, in ascending
-// node order. It is the shared scoring primitive behind Evaluate and the
-// inference engine's batched evaluation.
+// node order. It is the shared scoring primitive behind Evaluate and
+// scorePreparedCtx.
 func (m *Model) LabeledPredictions(p *Prepared) []eval.Prediction {
 	logits, targets := m.InferLogits(p)
 	var preds []eval.Prediction
@@ -865,13 +870,30 @@ func (m *Model) LabeledPredictions(p *Prepared) []eval.Prediction {
 }
 
 // Evaluate scores the model on the given tables of a corpus, returning the
-// paper's per-kind metrics and the raw predictions.
+// paper's per-kind metrics and the raw predictions. It is the serial,
+// one-table-at-a-time reference EvaluateCtx is tested against.
 func (m *Model) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
 	var preds []eval.Prediction
 	for _, ti := range idx {
 		preds = append(preds, m.LabeledPredictions(m.Prepare(c.Tables[ti]))...)
 	}
 	return eval.ComputeSplit(preds), preds
+}
+
+// EvaluateCtx is Evaluate on the trainer's parallel machinery: the tables
+// are prepared over workers goroutines (0 or negative = NumCPU) and scored
+// with chunked union forwards (scorePreparedCtx). The metrics and the
+// prediction list are identical to Evaluate's at every worker count. A
+// cancelled context aborts with its error after a partial-work drain.
+func (m *Model) EvaluateCtx(ctx context.Context, c *data.Corpus, idx []int, workers int) (*eval.Split, []eval.Prediction, error) {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	ps, err := m.prepareTables(ctx, c, idx, workers, nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.scorePreparedCtx(ctx, ps, workers)
 }
 
 // ColumnPrediction is the user-facing prediction for one column.
@@ -951,14 +973,10 @@ func (m *Model) Save(w io.Writer) error {
 	return m.params.EncodeGob(enc)
 }
 
-// SaveFile saves the model to a file path.
+// SaveFile saves the model to a file path atomically (fsutil.WriteFile): a
+// failed or interrupted save leaves the previous file at path intact.
 func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return m.Save(f)
+	return fsutil.WriteFile(path, ".model-*.tmp", 0o644, m.Save)
 }
 
 // Geometry ceilings for checkpoint metadata. A checkpoint declaring wider

@@ -208,12 +208,12 @@ func TestScorePreparedCtxWorkerCountInvariant(t *testing.T) {
 			s.Overall.WeightedF1, s.Overall.MacroF1, s.Overall.Accuracy,
 			s.Numeric.WeightedF1, s.NonNumeric.WeightedF1, s.Overall.N, len(s.Overall.PerClass))
 	}
-	base, err := m.scorePreparedCtx(context.Background(), ps, 1)
+	base, _, err := m.scorePreparedCtx(context.Background(), ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, 8} {
-		got, err := m.scorePreparedCtx(context.Background(), ps, workers)
+		got, _, err := m.scorePreparedCtx(context.Background(), ps, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

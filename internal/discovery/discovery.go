@@ -50,12 +50,6 @@ func NewTypeIndex(minConfidence float64) *TypeIndex {
 	}
 }
 
-// AddTable types every column of t with the model and indexes the results.
-// It returns the number of columns indexed.
-func (ix *TypeIndex) AddTable(m *core.Model, t *table.Table) int {
-	return ix.AddPredictions(t, m.PredictTable(t))
-}
-
 // predRefs converts predictions for t into column refs, dropping those
 // below minConfidence. The returned slice is never nil — an empty result is
 // "indexed with zero qualifying columns", not "skipped".
@@ -76,9 +70,9 @@ func predRefs(t *table.Table, preds []core.ColumnPrediction, minConfidence float
 // MinConfidence reports the index's insert-time confidence threshold.
 func (ix *TypeIndex) MinConfidence() float64 { return ix.minConfidence }
 
-// AddPredictions indexes already-computed predictions for t — the path the
-// serving layer uses so one staged-inference pass covers both the response
-// and the index update (AddTable would re-predict from scratch).
+// AddPredictions indexes already-computed predictions for t, so one
+// staged-inference pass covers both a serving response and the index
+// update. It returns the number of columns indexed.
 func (ix *TypeIndex) AddPredictions(t *table.Table, preds []core.ColumnPrediction) int {
 	return ix.setRefs(t.ID, predRefs(t, preds, ix.minConfidence))
 }

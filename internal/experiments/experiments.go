@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,7 +21,6 @@ import (
 	"github.com/sematype/pythagoras/internal/data"
 	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/graph"
-	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/table"
 )
@@ -200,9 +200,13 @@ func RunComparison(c *data.Corpus, s Scale) *ComparisonResult {
 			if err != nil {
 				panic(err)
 			}
-			// Score through the staged inference engine — the serving
-			// path, equivalence-tested against Model.Evaluate.
-			return infer.New(m).Evaluate(c, test)
+			// Score with the parallel chunked scorer, equivalence-tested
+			// against the serial Model.Evaluate.
+			split, preds, err := m.EvaluateCtx(context.Background(), c, test, pcfg.TrainWorkers)
+			if err != nil {
+				panic(err)
+			}
+			return split, preds
 		})
 	}
 
@@ -321,7 +325,10 @@ func Table4(s Scale) []AblationRow {
 		if err != nil {
 			panic(err)
 		}
-		split, _ := infer.New(m).Evaluate(c, test)
+		split, _, err := m.EvaluateCtx(context.Background(), c, test, pcfg.TrainWorkers)
+		if err != nil {
+			panic(err)
+		}
 		rows = append(rows, AblationRow{
 			Variant:    v.Name,
 			WeightedF1: split.Numeric.WeightedF1,

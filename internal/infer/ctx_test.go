@@ -161,12 +161,12 @@ func TestInjectedPrepareErrorAborts(t *testing.T) {
 	}
 }
 
-// TestPredictCtxStageGates: the single-table path observes cancellation at
-// each of its three stage gates.
+// TestPredictCtxStageGates: the single-table path runs the batch pipeline,
+// so it observes cancellation at each of the pipeline's four stage gates.
 func TestPredictCtxStageGates(t *testing.T) {
 	m, c := trainedModel(t)
 	for _, point := range []faultinject.Point{
-		faultinject.InferPrepare, faultinject.InferForward, faultinject.InferDecode,
+		faultinject.InferPrepare, faultinject.InferUnion, faultinject.InferForward, faultinject.InferDecode,
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		fs := faultinject.New().On(point, faultinject.Cancel(cancel))

@@ -1,39 +1,38 @@
 // Package infer is the staged inference engine of Pythagoras: the
-// production serving path that turns the monolithic per-table predict loop
-// into an explicit Encode → BuildGraph → Forward pipeline with batching and
-// parallelism.
+// production serving path that types the columns of a batch of tables with
+// one Prepare → Union → Forward → Decode pipeline.
 //
 // Stages (see DESIGN.md §7):
 //
-//  1. BuildGraph — table → heterogeneous graph (pure, per table).
-//  2. Encode     — frozen-LM node states + standardized feature rows
-//     (per table; dominated by the transformer, so the engine fans it out
-//     over a worker pool; the lm.Encoder cache is sharded to keep workers
-//     from serializing).
-//  3. Forward    — graph union + gradient-free GNN passes, exactly the
-//     minibatch mechanism the training loop uses. The batch is split into
-//     per-worker chunks (each at most maxBatch tables) whose union forwards
-//     run concurrently.
+//  1. Prepare — table → heterogeneous graph → frozen-LM node states and
+//     standardized feature rows, per table. Dominated by the transformer, so
+//     the engine fans it out over a worker pool; the lm.Encoder cache is
+//     sharded to keep workers from serializing.
+//  2. Union   — the prepared tables are split into per-worker chunks of at
+//     most maxBatch tables and each chunk's graphs are unioned: exactly the
+//     minibatch mechanism the training loop uses.
+//  3. Forward — one gradient-free GNN pass per chunk, chunks in parallel.
+//  4. Decode  — each chunk's class probabilities are split back into
+//     per-table column predictions.
 //
-// Stages 1–2 are embarrassingly parallel across tables; stage 3 amortizes
-// tape construction, parameter binding and matrix dispatch over each chunk
-// and runs chunks in parallel. Because a union forward is bit-identical to
-// the per-table forwards it replaces (row-wise ops, per-destination scatter
-// accumulation), the chunking is unobservable in the output.
+// There is one pipeline and every entry point runs it: PredictBatchCtx runs
+// it on its input, PredictCtx on a one-table slice, and Predict/PredictBatch
+// are their context.Background() wrappers. Because a union forward is
+// bit-identical to the per-table forwards it replaces (row-wise ops,
+// per-destination scatter accumulation), the chunking is unobservable in the
+// output, which is bit-identical to looping core.Model.PredictTable.
 //
-// The context-threaded entry points (PredictCtx, PredictBatchCtx) make the
-// whole pipeline interruptible (DESIGN.md §9): cancellation is checked
-// before every stage, between chunks, and before each work item the pool
-// claims, so a vanished client or an expired deadline aborts the batch at
-// the next stage boundary with a partial-work drain — workers finish the
-// item they are on, nothing new is started, and the first error comes back.
-// The context-free Predict/PredictBatch remain as thin non-cancellable
-// wrappers. Cancellation never changes bits: a batch that completes under a
-// cancellable context is byte-identical to the same batch without one.
+// The pipeline is interruptible (DESIGN.md §9): cancellation is checked
+// before each table the prepare pool claims, between chunks, and before each
+// chunk's union, forward and decode, so a vanished client or an expired
+// deadline aborts the call at the next stage boundary with a partial-work
+// drain — workers finish the item they are on, nothing new is started, and
+// the first error comes back. Cancellation never changes bits: a call that
+// completes under a cancellable context is byte-identical to the same call
+// without one.
 //
 // The engine holds no mutable state: a single Engine is safe for concurrent
-// use from any number of goroutines, and its batch output is bit-identical
-// to looping core.Model.PredictTable over the same tables.
+// use from any number of goroutines.
 package infer
 
 import (
@@ -43,13 +42,10 @@ import (
 	"time"
 
 	"github.com/sematype/pythagoras/internal/core"
-	"github.com/sematype/pythagoras/internal/data"
-	"github.com/sematype/pythagoras/internal/eval"
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/obs"
 	"github.com/sematype/pythagoras/internal/par"
 	"github.com/sematype/pythagoras/internal/table"
-	"github.com/sematype/pythagoras/internal/tensor"
 )
 
 // Engine schedules staged inference over a trained, read-only model.
@@ -62,12 +58,12 @@ type Engine struct {
 	// (default 16 — the training loop's default batch size). Larger batches
 	// are split into chunks run concurrently across the worker pool.
 	maxBatch int
-	// metrics, when non-nil, receives per-stage latency histograms,
-	// chunk-size distributions and pool utilization (see metrics.go). Nil
-	// costs one branch per stage — the no-sink-attached fast path.
-	metrics *engineMetrics
+	// metrics receives per-stage latency histograms, chunk-size
+	// distributions and pool utilization (see metrics.go). Until
+	// EnableMetrics runs its handles are nil, and nil obs handles are inert.
+	metrics engineMetrics
 	// drift, when non-nil, accumulates the served prediction distribution
-	// against a training-time baseline (see WithDrift). Nil-safe throughout.
+	// against a training-time baseline (see EnableDrift). Nil-safe throughout.
 	drift *obs.DriftMonitor
 	// faults, when non-nil, fires the chaos suite's injection points at
 	// each stage boundary (DESIGN.md §9). Nil — always, outside tests —
@@ -89,7 +85,8 @@ type Option func(*Engine)
 // default).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// WithMaxBatch sets how many tables Evaluate unions per forward pass.
+// WithMaxBatch sets how many tables the pipeline unions per forward pass
+// (values < 1 reset to the default).
 func WithMaxBatch(n int) Option { return func(e *Engine) { e.maxBatch = n } }
 
 // WithFaults arms fault-injection points at the engine's stage boundaries —
@@ -116,52 +113,45 @@ func New(m *core.Model, opts ...Option) *Engine {
 // Model returns the engine's underlying model.
 func (e *Engine) Model() *core.Model { return e.model }
 
-// Predict runs the staged pipeline on a single table. It is equivalent to
-// (and, uninstrumented, implemented as) core.Model.PredictTable; with
-// metrics attached it runs the same three stage calls PredictTable is made
-// of, timing each — the output is bit-identical either way. It cannot be
-// cancelled; serving paths use PredictCtx.
+// Predict types the columns of one table. It is PredictCtx under a
+// background context (not cancellable); serving paths use PredictCtx.
 func (e *Engine) Predict(t *table.Table) []core.ColumnPrediction {
-	if e.metrics == nil && e.faults == nil && e.drift == nil {
-		return e.model.PredictTable(t)
-	}
 	out, _ := e.PredictCtx(context.Background(), t)
 	return out
 }
 
-// PredictCtx runs the staged pipeline on a single table under a context:
-// cancellation (or an injected fault) is observed between the prepare,
-// forward and decode stages, returning the context's error with no partial
-// result. A completed call is bit-identical to Predict.
+// PredictCtx runs the engine's pipeline on a one-table slice: cancellation
+// (or an injected fault) is observed at the same stage gates as a batch,
+// returning the error with no partial result. The output is bit-identical
+// to core.Model.PredictTable.
 func (e *Engine) PredictCtx(ctx context.Context, t *table.Table) ([]core.ColumnPrediction, error) {
-	m := e.metrics
-	if err := stageGate(ctx, e.faults, faultinject.InferPrepare); err != nil {
+	out, err := e.run(ctx, []*table.Table{t})
+	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	p := e.model.PrepareForPrediction(t)
-	if m != nil {
-		m.prepare.Since(t0)
+	return out[0], nil
+}
+
+// PredictBatch predicts the semantic types of every column of every input
+// table. Output i corresponds to input i and is bit-identical to
+// Predict(ts[i]). It cannot be cancelled; serving paths use
+// PredictBatchCtx.
+func (e *Engine) PredictBatch(ts []*table.Table) [][]core.ColumnPrediction {
+	out, _ := e.PredictBatchCtx(context.Background(), ts)
+	return out
+}
+
+// PredictBatchCtx runs the engine's pipeline on a batch of tables under a
+// context. On abort it returns nil results and the first error after
+// draining — every in-flight stage call runs to completion, nothing new
+// starts. A completed call is bit-identical to PredictBatch.
+func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]core.ColumnPrediction, error) {
+	if len(ts) == 0 {
+		return nil, ctx.Err()
 	}
-	if err := stageGate(ctx, e.faults, faultinject.InferForward); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	probs, targets := e.model.InferProbs(p)
-	if m != nil {
-		m.forward.Since(t0)
-	}
-	if err := stageGate(ctx, e.faults, faultinject.InferDecode); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	out := e.model.DecodePredictions(p, probs, targets, 0, len(targets), t)
-	if m != nil {
-		m.decode.Since(t0)
-		m.tables.Inc()
-	}
-	e.recordPredictions(out)
-	return out, nil
+	e.metrics.batches.Inc()
+	e.metrics.batch.Observe(float64(len(ts)))
+	return e.run(ctx, ts)
 }
 
 // stageGate is the per-stage interruption check: context first, then any
@@ -182,11 +172,11 @@ func stageGate(ctx context.Context, fs *faultinject.Set, p faultinject.Point) er
 // workers are inside fn — sampled by registry snapshots, it is the
 // pool-utilization signal.
 func (e *Engine) parallelFor(ctx context.Context, n int, fn func(i int) error) error {
-	if m := e.metrics; m != nil {
+	if busy := e.metrics.busy; busy != nil {
 		inner := fn
 		fn = func(i int) error {
-			m.busy.Add(1)
-			defer m.busy.Add(-1)
+			busy.Add(1)
+			defer busy.Add(-1)
 			return inner(i)
 		}
 	}
@@ -201,97 +191,19 @@ func (e *Engine) chunkBounds(n int) [][2]int {
 	return par.Bounds(n, e.workers, e.maxBatch)
 }
 
-// forwardChunk runs one gradient-free forward over ps[lo:hi] (unioned when
-// the chunk holds more than one table) and returns the chunk's prepared
-// input, class probabilities and target-node list. The context and fault
-// gates run before the union and before the forward — the two places a
-// chunk spends real time. Instrumented, it times the graph-union and
-// forward stages separately (a single-table chunk still observes its ~zero
-// union cost, so the union histogram's count always matches the chunk
-// count).
-func (e *Engine) forwardChunk(ctx context.Context, ps []*core.Prepared, lo, hi int) (*core.Prepared, *tensor.Matrix, []int, error) {
-	if err := stageGate(ctx, e.faults, faultinject.InferUnion); err != nil {
-		return nil, nil, nil, err
-	}
-	m := e.metrics
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	p := ps[lo]
-	if hi-lo > 1 {
-		p = core.UnionPrepared(ps[lo:hi])
-	}
-	if m != nil {
-		m.union.Since(t0)
-		m.chunks.Observe(float64(hi - lo))
-	}
-	if err := stageGate(ctx, e.faults, faultinject.InferForward); err != nil {
-		return nil, nil, nil, err
-	}
-	if m != nil {
-		t0 = time.Now()
-	}
-	probs, targets := e.model.InferProbs(p)
-	if m != nil {
-		m.forward.Since(t0)
-	}
-	return p, probs, targets, nil
-}
-
-// PredictBatch predicts the semantic types of every column of every input
-// table through the staged pipeline: tables are prepared in parallel, their
-// graphs unioned (the training loop's minibatch mechanism) into per-worker
-// chunks of at most maxBatch tables, and the GNN + softmax run once per
-// chunk, chunks in parallel. Output i corresponds to input i and is
-// bit-identical to Predict(ts[i]). It cannot be cancelled; serving paths
-// use PredictBatchCtx.
-func (e *Engine) PredictBatch(ts []*table.Table) [][]core.ColumnPrediction {
-	out, _ := e.PredictBatchCtx(context.Background(), ts)
-	return out
-}
-
-// PredictBatchCtx is PredictBatch under a context: cancellation (or an
-// injected fault) is observed before each table the prepare pool claims,
-// between chunks, and inside each chunk before its union and forward. On
-// abort it returns nil results and the first error after draining — every
-// in-flight stage call runs to completion, nothing new starts. A completed
-// call is bit-identical to PredictBatch.
-func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]core.ColumnPrediction, error) {
-	m := e.metrics
-	switch len(ts) {
-	case 0:
-		return nil, ctx.Err()
-	case 1:
-		if m != nil {
-			m.batches.Inc()
-			m.batch.Observe(1)
-		}
-		out, err := e.PredictCtx(ctx, ts[0]) // PredictCtx counts the table
-		if err != nil {
-			return nil, err
-		}
-		return [][]core.ColumnPrediction{out}, nil
-	}
-	if m != nil {
-		m.batches.Inc()
-		m.tables.Add(uint64(len(ts)))
-		m.batch.Observe(float64(len(ts)))
-	}
-
+// run is the engine's one pipeline: tables are prepared in parallel, split
+// into chunks, and each chunk is unioned, forwarded and decoded (chunks in
+// parallel). ts must be non-empty.
+func (e *Engine) run(ctx context.Context, ts []*table.Table) ([][]core.ColumnPrediction, error) {
+	e.metrics.tables.Add(uint64(len(ts)))
 	ps := make([]*core.Prepared, len(ts))
 	err := e.parallelFor(ctx, len(ts), func(i int) error {
 		if err := e.faults.Fire(ctx, faultinject.InferPrepare); err != nil {
 			return err
 		}
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		ps[i] = e.model.PrepareForPrediction(ts[i])
-		if m != nil {
-			m.prepare.Since(t0)
-		}
+		e.metrics.prepare.Since(t0)
 		return nil
 	})
 	if err != nil {
@@ -301,29 +213,7 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]co
 	out := make([][]core.ColumnPrediction, len(ts))
 	bounds := e.chunkBounds(len(ts))
 	err = e.parallelFor(ctx, len(bounds), func(c int) error {
-		clo, chi := bounds[c][0], bounds[c][1]
-		p, probs, targets, err := e.forwardChunk(ctx, ps, clo, chi)
-		if err != nil {
-			return err
-		}
-		if err := e.faults.Fire(ctx, faultinject.InferDecode); err != nil {
-			return err
-		}
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
-		lo := 0
-		for i := clo; i < chi; i++ {
-			hi := lo + len(ps[i].Graph.TargetNodes())
-			out[i] = e.model.DecodePredictions(p, probs, targets, lo, hi, ts[i])
-			e.recordPredictions(out[i])
-			lo = hi
-		}
-		if m != nil {
-			m.decode.Since(t0)
-		}
-		return nil
+		return e.runChunk(ctx, ts, ps, out, bounds[c][0], bounds[c][1])
 	})
 	if err != nil {
 		return nil, err
@@ -331,52 +221,40 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, ts []*table.Table) ([][]co
 	return out, nil
 }
 
-// Evaluate scores the model over labeled corpus tables through the staged
-// pipeline: parallel prepare, then parallel union forward passes of up to
-// maxBatch tables each. The returned metrics and prediction list are
-// identical to core.Model.Evaluate on the same indices.
-func (e *Engine) Evaluate(c *data.Corpus, idx []int) (*eval.Split, []eval.Prediction) {
-	m := e.metrics
-	ctx := context.Background()
-	ps := make([]*core.Prepared, len(idx))
-	_ = e.parallelFor(ctx, len(idx), func(i int) error {
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
-		ps[i] = e.model.Prepare(c.Tables[idx[i]])
-		if m != nil {
-			m.prepare.Since(t0)
-		}
-		return nil
-	})
-
-	bounds := e.chunkBounds(len(ps))
-	chunkPreds := make([][]eval.Prediction, len(bounds))
-	_ = e.parallelFor(ctx, len(bounds), func(ci int) error {
-		lo, hi := bounds[ci][0], bounds[ci][1]
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
-		p := ps[lo]
-		if hi-lo > 1 {
-			p = core.UnionPrepared(ps[lo:hi])
-		}
-		if m != nil {
-			m.union.Since(t0)
-			m.chunks.Observe(float64(hi - lo))
-			t0 = time.Now()
-		}
-		chunkPreds[ci] = e.model.LabeledPredictions(p)
-		if m != nil {
-			m.forward.Since(t0)
-		}
-		return nil
-	})
-	var preds []eval.Prediction
-	for _, cp := range chunkPreds {
-		preds = append(preds, cp...)
+// runChunk unions ps[lo:hi], runs one gradient-free forward over the union
+// and decodes it into out[lo:hi]. The context and fault gates run before
+// each of the three steps. Instrumented, each step is timed separately; a
+// single-table chunk still observes its ~zero union cost, so the union
+// histogram's count always matches the chunk count.
+func (e *Engine) runChunk(ctx context.Context, ts []*table.Table, ps []*core.Prepared, out [][]core.ColumnPrediction, lo, hi int) error {
+	m := &e.metrics
+	if err := stageGate(ctx, e.faults, faultinject.InferUnion); err != nil {
+		return err
 	}
-	return eval.ComputeSplit(preds), preds
+	t0 := time.Now()
+	p := ps[lo]
+	if hi-lo > 1 {
+		p = core.UnionPrepared(ps[lo:hi])
+	}
+	m.union.Since(t0)
+	m.chunks.Observe(float64(hi - lo))
+	if err := stageGate(ctx, e.faults, faultinject.InferForward); err != nil {
+		return err
+	}
+	t0 = time.Now()
+	probs, targets := e.model.InferProbs(p)
+	m.forward.Since(t0)
+	if err := stageGate(ctx, e.faults, faultinject.InferDecode); err != nil {
+		return err
+	}
+	t0 = time.Now()
+	at := 0
+	for i := lo; i < hi; i++ {
+		n := len(ps[i].Graph.TargetNodes())
+		out[i] = e.model.DecodePredictions(p, probs, targets, at, at+n, ts[i])
+		e.recordPredictions(out[i])
+		at += n
+	}
+	m.decode.Since(t0)
+	return nil
 }

@@ -1,6 +1,9 @@
 package infer
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -82,27 +85,34 @@ func TestPredictBatchEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestEvaluateMatchesModelEvaluate asserts the engine's batched evaluation
-// reproduces core.Model.Evaluate exactly (same prediction list, same
-// metrics), across batch sizes that do and don't divide the table count.
+// TestEvaluateMatchesModelEvaluate asserts the parallel chunked scorer
+// (core.Model.EvaluateCtx) reproduces the serial core.Model.Evaluate
+// exactly — same metrics, same prediction list — at every worker count,
+// including counts that do and don't divide the table count.
 func TestEvaluateMatchesModelEvaluate(t *testing.T) {
 	m, c := trainedModel(t)
 	idx := []int{10, 11, 12, 13, 14, 15, 16}
 	wantSplit, wantPreds := m.Evaluate(c, idx)
-	for _, mb := range []int{1, 3, 16} {
-		eng := New(m, WithWorkers(4), WithMaxBatch(mb))
-		gotSplit, gotPreds := eng.Evaluate(c, idx)
-		if len(gotPreds) != len(wantPreds) {
-			t.Fatalf("maxBatch=%d: %d preds, want %d", mb, len(gotPreds), len(wantPreds))
+	if len(wantPreds) == 0 {
+		t.Fatal("serial Evaluate produced no predictions")
+	}
+	for _, workers := range []int{1, 4, 8} {
+		gotSplit, gotPreds, err := m.EvaluateCtx(context.Background(), c, idx, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i := range wantPreds {
-			if gotPreds[i] != wantPreds[i] {
-				t.Fatalf("maxBatch=%d: pred %d = %+v, want %+v", mb, i, gotPreds[i], wantPreds[i])
-			}
+		if !reflect.DeepEqual(gotPreds, wantPreds) {
+			t.Fatalf("workers=%d: prediction list differs from serial Evaluate", workers)
 		}
-		if gotSplit.Overall.WeightedF1 != wantSplit.Overall.WeightedF1 {
-			t.Fatalf("maxBatch=%d: weighted F1 %v != %v", mb, gotSplit.Overall.WeightedF1, wantSplit.Overall.WeightedF1)
+		if !reflect.DeepEqual(gotSplit, wantSplit) {
+			t.Fatalf("workers=%d: split differs from serial Evaluate", workers)
 		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := m.EvaluateCtx(ctx, c, idx, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled EvaluateCtx err = %v", err)
 	}
 }
 

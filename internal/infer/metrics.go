@@ -12,8 +12,9 @@ var chunkBuckets = obs.ExpBuckets(1, 2, 13)
 
 // engineMetrics holds the engine's pre-resolved metric handles (DESIGN.md
 // §8). Handles are looked up once at wiring time so the serving path pays
-// only atomic updates; a nil *engineMetrics (observability off) costs one
-// branch per stage.
+// only atomic updates. The zero value (observability off) holds nil
+// handles, which the obs package makes inert, so recording sites never
+// branch on whether telemetry is on.
 //
 //	infer.stage.prepare.seconds   histogram, one observation per table
 //	infer.stage.union.seconds     histogram, one observation per chunk
@@ -56,8 +57,8 @@ type engineMetrics struct {
 // mirrors the abstain band the paper's precision/coverage trade-off targets.
 const lowConfidenceThreshold = 0.3
 
-func newEngineMetrics(reg *obs.Registry, types []string) *engineMetrics {
-	m := &engineMetrics{
+func newEngineMetrics(reg *obs.Registry, types []string) engineMetrics {
+	m := engineMetrics{
 		reg:     reg,
 		prepare: reg.Histogram("infer.stage.prepare.seconds", nil),
 		union:   reg.Histogram("infer.stage.union.seconds", nil),
@@ -80,12 +81,6 @@ func newEngineMetrics(reg *obs.Registry, types []string) *engineMetrics {
 	return m
 }
 
-// WithMetrics wires the engine's per-stage instrumentation into reg (nil
-// disables instrumentation, the default).
-func WithMetrics(reg *obs.Registry) Option {
-	return func(e *Engine) { e.EnableMetrics(reg) }
-}
-
 // EnableMetrics attaches a metrics registry to the engine: per-stage
 // latency histograms, worker-pool utilization and chunk-size distributions,
 // plus the underlying encoder's cache gauges. It must be called before the
@@ -93,7 +88,7 @@ func WithMetrics(reg *obs.Registry) Option {
 // Predict/PredictBatch calls); once a registry is attached, later calls are
 // no-ops.
 func (e *Engine) EnableMetrics(reg *obs.Registry) {
-	if reg == nil || e.metrics != nil {
+	if reg == nil || e.metrics.reg != nil {
 		return
 	}
 	e.metrics = newEngineMetrics(reg, e.model.Types())
@@ -102,23 +97,17 @@ func (e *Engine) EnableMetrics(reg *obs.Registry) {
 	}
 }
 
-// WithDrift attaches a drift monitor built from a training-time baseline:
-// every served prediction feeds the monitor, whose distribution-distance
-// scores surface as drift.* gauges on the engine's registry once
-// EnableDrift (or this option plus WithMetrics) has run. A nil monitor
-// disables drift telemetry, the default.
-func WithDrift(m *obs.DriftMonitor) Option {
-	return func(e *Engine) { e.drift = m }
-}
-
-// EnableDrift attaches a drift monitor after construction and, when a
-// metrics registry is already attached, registers its gauges there.
+// EnableDrift attaches a drift monitor built from a training-time baseline:
+// every served prediction feeds the monitor, and when a metrics registry is
+// already attached its distribution-distance scores are registered there as
+// drift.* gauges. A nil monitor is ignored (drift telemetry stays off, the
+// default).
 func (e *Engine) EnableDrift(m *obs.DriftMonitor) {
 	if m == nil {
 		return
 	}
 	e.drift = m
-	if e.metrics != nil {
+	if e.metrics.reg != nil {
 		m.Register(e.metrics.reg)
 	}
 }
@@ -130,34 +119,25 @@ func (e *Engine) Drift() *obs.DriftMonitor { return e.drift }
 // recordPredictions feeds one table's served predictions into the
 // model-quality telemetry: the confidence histogram, per-type labeled
 // counters, the low-confidence counter, and the drift monitor. Called once
-// per decoded table on the serving paths (never by Evaluate — offline
-// scoring must not pollute serving telemetry).
+// per decoded table. Offline scoring (core.Model.EvaluateCtx) never runs
+// through the engine, so it cannot pollute serving telemetry.
 func (e *Engine) recordPredictions(preds []core.ColumnPrediction) {
-	m := e.metrics
-	if m == nil && e.drift == nil {
+	m := &e.metrics
+	if m.reg == nil && e.drift == nil {
 		return
 	}
 	for i := range preds {
 		p := &preds[i]
-		if m != nil {
-			m.predictions.Inc()
-			m.confidence.Observe(p.Confidence)
-			if p.Confidence < lowConfidenceThreshold {
-				m.lowConf.Inc()
-			}
-			if c, ok := m.byType[p.Type]; ok {
-				c.Inc()
-			}
+		m.predictions.Inc()
+		m.confidence.Observe(p.Confidence)
+		if p.Confidence < lowConfidenceThreshold {
+			m.lowConf.Inc()
 		}
+		m.byType[p.Type].Inc() // nil (inert) for unknown types and when off
 		e.drift.Observe(p.Type, p.Confidence)
 	}
 }
 
 // Metrics returns the registry the engine records into (nil when
 // uninstrumented).
-func (e *Engine) Metrics() *obs.Registry {
-	if e.metrics == nil {
-		return nil
-	}
-	return e.metrics.reg
-}
+func (e *Engine) Metrics() *obs.Registry { return e.metrics.reg }

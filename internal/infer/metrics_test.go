@@ -16,7 +16,8 @@ import (
 func TestMetricsPopulatedByPredictBatch(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
-	eng := New(m, WithWorkers(4), WithMaxBatch(4), WithMetrics(reg))
+	eng := New(m, WithWorkers(4), WithMaxBatch(4))
+	eng.EnableMetrics(reg)
 	if eng.Metrics() != reg {
 		t.Fatal("Metrics() should return the wired registry")
 	}
@@ -54,12 +55,13 @@ func TestMetricsPopulatedByPredictBatch(t *testing.T) {
 	}
 }
 
-// TestMetricsSingleTablePaths: Predict and the 1-table PredictBatch
-// shortcut must count tables exactly once.
+// TestMetricsSingleTablePaths: Predict and a 1-table PredictBatch must
+// count tables exactly once.
 func TestMetricsSingleTablePaths(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
-	eng := New(m, WithMetrics(reg))
+	eng := New(m)
+	eng.EnableMetrics(reg)
 
 	eng.Predict(c.Tables[0])
 	eng.PredictBatch(c.Tables[:1])
@@ -84,7 +86,8 @@ func TestMetricsSingleTablePaths(t *testing.T) {
 func TestInstrumentationPreservesOutput(t *testing.T) {
 	m, c := trainedModel(t)
 	plain := New(m, WithWorkers(3), WithMaxBatch(3))
-	inst := New(m, WithWorkers(3), WithMaxBatch(3), WithMetrics(obs.NewRegistry()))
+	inst := New(m, WithWorkers(3), WithMaxBatch(3))
+	inst.EnableMetrics(obs.NewRegistry())
 
 	tables := c.Tables[:7]
 	want := plain.PredictBatch(tables)
@@ -97,7 +100,7 @@ func TestInstrumentationPreservesOutput(t *testing.T) {
 	}
 }
 
-// TestMetricsDefaultOff: without WithMetrics the engine records nothing.
+// TestMetricsDefaultOff: without EnableMetrics the engine records nothing.
 func TestMetricsDefaultOff(t *testing.T) {
 	m, c := trainedModel(t)
 	eng := New(m)
@@ -113,7 +116,8 @@ func TestMetricsDefaultOff(t *testing.T) {
 func TestMetricsConcurrentPredictBatch(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
-	eng := New(m, WithWorkers(2), WithMaxBatch(3), WithMetrics(reg))
+	eng := New(m, WithWorkers(2), WithMaxBatch(3))
+	eng.EnableMetrics(reg)
 
 	const callers = 4
 	var wg sync.WaitGroup
@@ -146,7 +150,8 @@ func TestMetricsConcurrentPredictBatch(t *testing.T) {
 func TestPredictionTelemetry(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
-	eng := New(m, WithMetrics(reg))
+	eng := New(m)
+	eng.EnableMetrics(reg)
 
 	preds := eng.PredictBatch(c.Tables[:4])
 	var want uint64
@@ -189,15 +194,17 @@ func TestDriftGaugesMove(t *testing.T) {
 
 	// Control: serve the very tables the baseline was computed from.
 	ctrlReg := obs.NewRegistry()
-	ctrl := New(m, WithMetrics(ctrlReg), WithDrift(obs.NewDriftMonitor(baseline)))
-	ctrl.Drift().Register(ctrlReg)
+	ctrl := New(m)
+	ctrl.EnableMetrics(ctrlReg)
+	ctrl.EnableDrift(obs.NewDriftMonitor(baseline))
 	ctrl.PredictBatch(c.Tables)
 
 	// Shifted: tables whose columns are all the same synthetic shape, far
 	// from the corpus mix.
 	shiftReg := obs.NewRegistry()
-	shift := New(m, WithMetrics(shiftReg), WithDrift(obs.NewDriftMonitor(baseline)))
-	shift.Drift().Register(shiftReg)
+	shift := New(m)
+	shift.EnableMetrics(shiftReg)
+	shift.EnableDrift(obs.NewDriftMonitor(baseline))
 	odd := &table.Table{Name: "Odd", ID: "odd", Columns: []*table.Column{
 		{Header: "zz9", Kind: table.KindNumeric, NumValues: []float64{1e9, 2e9, 3e9}},
 		{Header: "qqq", Kind: table.KindNumeric, NumValues: []float64{-7e8, -8e8, -9e8}},
@@ -220,7 +227,8 @@ func TestDriftGaugesMove(t *testing.T) {
 func TestEnableDriftRegistersOnExistingRegistry(t *testing.T) {
 	m, c := trainedModel(t)
 	reg := obs.NewRegistry()
-	eng := New(m, WithMetrics(reg))
+	eng := New(m)
+	eng.EnableMetrics(reg)
 	eng.EnableDrift(obs.NewDriftMonitor(m.ComputeDriftBaseline(c.Tables[:2])))
 	eng.Predict(c.Tables[0])
 	if _, ok := reg.Snapshot().Gauges["drift.type.score"]; !ok {

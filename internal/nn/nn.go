@@ -1,6 +1,6 @@
 // Package nn builds neural-network training machinery on top of the
 // autodiff tape: named parameter collections, initializers, dense layers,
-// optimizers (Adam, SGD), learning-rate schedules, gradient clipping, early
+// the Adam optimizer, learning-rate schedules, gradient clipping, early
 // stopping, and gob-based persistence.
 package nn
 
@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 
 	"github.com/sematype/pythagoras/internal/autodiff"
@@ -161,25 +160,6 @@ func (p *Params) DecodeGob(dec *gob.Decoder) error {
 	return nil
 }
 
-// SaveFile / LoadFile are Save/Load against a path.
-func (p *Params) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return p.Save(f)
-}
-
-func (p *Params) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return p.Load(f)
-}
-
 // --- initializers ---
 
 // XavierInit fills m with Glorot-uniform values for a fanIn×fanOut layer.
@@ -187,14 +167,6 @@ func XavierInit(m *tensor.Matrix, rng *rand.Rand) {
 	limit := math.Sqrt(6 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
-	}
-}
-
-// HeInit fills m with Kaiming-normal values (for ReLU networks).
-func HeInit(m *tensor.Matrix, rng *rand.Rand) {
-	std := math.Sqrt(2 / float64(m.Rows))
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * std
 	}
 }
 
@@ -374,45 +346,6 @@ type Optimizer interface {
 	// SetLR overrides the base learning rate (used by schedulers).
 	SetLR(lr float64)
 	LR() float64
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	lr       float64
-	Momentum float64
-	velocity map[string][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{lr: lr, Momentum: momentum, velocity: make(map[string][]float64)}
-}
-
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-func (s *SGD) LR() float64      { return s.lr }
-
-// Step applies v = m·v - lr·g; p += v (or plain p -= lr·g when momentum=0).
-func (s *SGD) Step(p *Params, grads *GradSet) {
-	for _, name := range p.Names() {
-		g := grads.Grad(name)
-		if g == nil {
-			continue
-		}
-		w := p.Get(name)
-		if s.Momentum == 0 {
-			w.AddScaledInPlace(g, -s.lr)
-			continue
-		}
-		v := s.velocity[name]
-		if v == nil {
-			v = make([]float64, len(w.Data))
-			s.velocity[name] = v
-		}
-		for i := range v {
-			v[i] = s.Momentum*v[i] - s.lr*g.Data[i]
-			w.Data[i] += v[i]
-		}
-	}
 }
 
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction,

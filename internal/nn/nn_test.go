@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -100,7 +101,7 @@ func TestParamsLoadUnknownName(t *testing.T) {
 	}
 }
 
-func TestXavierHeInitRanges(t *testing.T) {
+func TestXavierInitRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := tensor.New(100, 100)
 	XavierInit(m, rng)
@@ -109,18 +110,6 @@ func TestXavierHeInitRanges(t *testing.T) {
 		if math.Abs(v) > limit {
 			t.Fatalf("xavier value %v beyond limit %v", v, limit)
 		}
-	}
-	HeInit(m, rng)
-	var s, s2 float64
-	for _, v := range m.Data {
-		s += v
-		s2 += v * v
-	}
-	n := float64(len(m.Data))
-	std := math.Sqrt(s2/n - (s/n)*(s/n))
-	want := math.Sqrt(2.0 / 100.0)
-	if math.Abs(std-want) > want*0.1 {
-		t.Fatalf("He std = %v, want ≈%v", std, want)
 	}
 }
 
@@ -195,41 +184,6 @@ func applyBound(tape *autodiff.Tape, bound [][2]*autodiff.Var, x *autodiff.Var, 
 		}
 	}
 	return h
-}
-
-func TestSGDMatchesManualUpdate(t *testing.T) {
-	p := NewParams()
-	w := p.Add("w", tensor.FromSlice(1, 2, []float64{1, 2}))
-	tape := autodiff.NewTape()
-	grads := NewGradSet()
-	v := grads.Track("w", tape.Param(w))
-	loss := tape.L2Penalty(v, 1) // grad = w
-	tape.Backward(loss)
-	NewSGD(0.1, 0).Step(p, grads)
-	want := tensor.FromSlice(1, 2, []float64{0.9, 1.8})
-	if !tensor.Equal(w, want, 1e-12) {
-		t.Fatalf("SGD update = %v", w.Data)
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := NewParams()
-	w := p.Add("w", tensor.FromSlice(1, 1, []float64{0}))
-	opt := NewSGD(1, 0.9)
-	for i := 0; i < 2; i++ {
-		tape := autodiff.NewTape()
-		grads := NewGradSet()
-		v := grads.Track("w", tape.Param(w))
-		// constant gradient of 1 via loss = w
-		one := tape.Constant(tensor.FromSlice(1, 1, []float64{1}))
-		loss := tape.Mul(v, one)
-		tape.Backward(loss)
-		opt.Step(p, grads)
-	}
-	// step1: v=-1, w=-1; step2: v=-1.9, w=-2.9
-	if math.Abs(w.Data[0]-(-2.9)) > 1e-12 {
-		t.Fatalf("momentum w = %v, want -2.9", w.Data[0])
-	}
 }
 
 func TestAdamFirstStepIsLR(t *testing.T) {
@@ -477,12 +431,24 @@ func TestParamsSaveLoadFileRoundTrip(t *testing.T) {
 	w := p1.Add("w", tensor.New(4, 4))
 	XavierInit(w, rng)
 	path := filepath.Join(t.TempDir(), "params.bin")
-	if err := p1.SaveFile(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	p2 := NewParams()
 	p2.Add("w", tensor.New(4, 4))
-	if err := p2.LoadFile(path); err != nil {
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := p2.Load(f); err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.Equal(p2.Get("w"), w, 0) {

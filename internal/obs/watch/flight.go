@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sematype/pythagoras/internal/fsutil"
 	"github.com/sematype/pythagoras/internal/obs"
 )
 
@@ -227,25 +229,11 @@ func (f *FlightDir) Save(rec *FlightRecord) (string, error) {
 		return "", fmt.Errorf("watch: encode flight record: %w", err)
 	}
 	path := filepath.Join(f.dir, id+flightSuffix)
-	tmp, err := os.CreateTemp(f.dir, ".flight-*.tmp")
-	if err != nil {
+	if err := fsutil.WriteFile(path, ".flight-*.tmp", 0o600, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return "", fmt.Errorf("watch: write flight record: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("watch: write flight record: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("watch: sync flight record: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("watch: close flight record: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return "", fmt.Errorf("watch: publish flight record: %w", err)
 	}
 	f.seq++
 	f.evictLocked()

@@ -17,10 +17,11 @@ package rescore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/sematype/pythagoras/internal/discovery"
+	"github.com/sematype/pythagoras/internal/fsutil"
 )
 
 // CheckpointVersion is the cursor wire-format version this build reads and
@@ -106,8 +107,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// Save writes the cursor durably: marshal, write to a temp file next to the
-// destination, fsync, rename. A crash at any instant leaves either the old
+// Save writes the cursor durably (fsutil.WriteFile: temp file next to the
+// destination, fsync, rename). A crash at any instant leaves either the old
 // checkpoint or the new one — never a torn file.
 func (c *Checkpoint) Save(path string) error {
 	if err := c.Validate(); err != nil {
@@ -117,26 +118,11 @@ func (c *Checkpoint) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("rescore: encode checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".rescore-ckpt-*")
-	if err != nil {
+	if err := fsutil.WriteFile(path, ".rescore-ckpt-*", 0o600, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("rescore: write checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("rescore: write checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("rescore: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("rescore: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("rescore: publish checkpoint: %w", err)
 	}
 	return nil
 }

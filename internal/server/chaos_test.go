@@ -250,6 +250,31 @@ func TestIndexEndpointMapsContextErrors(t *testing.T) {
 	}
 }
 
+// TestIndexEndpointMapsInferenceFaults: an engine failure that is neither a
+// context error nor a missing model is the server's fault on /v1/index just
+// as on /v1/predict — a 500 that debits the availability SLO, not a 400 the
+// SLO engine would count as a good request.
+func TestIndexEndpointMapsInferenceFaults(t *testing.T) {
+	engFaults := faultinject.New().On(faultinject.InferForward, faultinject.Err(errInjected))
+	s := chaosServer(t, engFaults, nil)
+
+	for _, path := range []string{"/v1/predict", "/v1/index"} {
+		rec := postJSON(t, s, path, sampleRequest("t1"))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s under an injected forward fault: %d, want 500 (body %s)", path, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), errInjected.Error()) {
+			t.Fatalf("%s error body %s does not carry the fault", path, rec.Body)
+		}
+	}
+	if s.Index().Stats().Tables != 0 {
+		t.Fatal("a failed index request reached the discovery index")
+	}
+	if got := s.Metrics().Snapshot().Counters["slo.availability.events.bad"]; got != 2 {
+		t.Fatalf("slo.availability.events.bad = %d, want 2 (predict + index)", got)
+	}
+}
+
 // TestQueuedRequestObservesDeadline: the admission-queue wait counts
 // against the request deadline — a request stuck behind a stalled server
 // times out in the queue with 504 instead of waiting forever.

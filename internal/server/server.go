@@ -1,8 +1,10 @@
 // Package server exposes a trained Pythagoras model and a discovery index
 // over HTTP — the integration surface for data-catalog and lake-management
-// tools. All prediction traffic flows through the staged inference engine
-// (internal/infer): single requests take the per-table path, and the batch
-// endpoint amortizes one union forward pass over many tables. Endpoints:
+// tools. All prediction traffic flows through the staged inference engine's
+// one pipeline (internal/infer): single requests run it on one table, and
+// the batch endpoint amortizes one union forward pass over many tables.
+// The three inference routes share one decode → lease → infer → release →
+// error-mapping path (serveInfer). Endpoints:
 //
 //	POST /v1/predict   {name, columns:[{header, values:[...]}]}
 //	                   → per-column semantic types with confidences
@@ -693,23 +695,6 @@ func (s *Server) writeInferErr(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) predict(ctx context.Context, tr *TableRequest) (*table.Table, []core.ColumnPrediction, error) {
-	t, err := tr.toTable()
-	if err != nil {
-		return nil, nil, err
-	}
-	slot, ok := s.leasePrimary()
-	if !ok {
-		return nil, nil, errNoModel
-	}
-	defer slot.engine.Release()
-	preds, err := slot.engine.PredictCtx(ctx, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, preds, nil
-}
-
 // decodeJSONBody decodes a size-capped JSON body into v, writing the JSON
 // error response itself on failure: 413 when the body exceeds limit, 400
 // for malformed, unknown-field, or trailing-garbage payloads. The body must
@@ -735,89 +720,107 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any) 
 	return true
 }
 
-func decodeTableRequest(w http.ResponseWriter, r *http.Request) (*TableRequest, bool) {
-	var tr TableRequest
-	if !decodeJSONBody(w, r, maxBodyBytes, &tr) {
-		return nil, false
+// decodeTable returns the decoder of a /v1/predict or (requireID)
+// /v1/index body: it decodes the body into its table, writing the 400 (or
+// 413) itself on failure.
+func decodeTable(requireID bool) func(http.ResponseWriter, *http.Request) ([]*table.Table, bool) {
+	return func(w http.ResponseWriter, r *http.Request) ([]*table.Table, bool) {
+		var tr TableRequest
+		if !decodeJSONBody(w, r, maxBodyBytes, &tr) {
+			return nil, false
+		}
+		if requireID && tr.ID == "" {
+			writeErr(w, http.StatusBadRequest, "indexing requires a table id")
+			return nil, false
+		}
+		t, err := tr.toTable()
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return nil, false
+		}
+		return []*table.Table{t}, true
 	}
-	return &tr, true
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	// The route middleware already opened this request's root span
-	// ("predict") on the context; the stage spans below nest under it, so
-	// the recorded histogram paths are span.predict.parse / .infer.
-	ctx := r.Context()
-	_, parse := obs.StartSpan(ctx, "parse")
-	tr, ok := decodeTableRequest(w, r)
-	if !ok {
-		parse.End()
-		return
-	}
-	t, err := tr.toTable()
-	parse.End()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, inferSp := obs.StartSpan(ctx, "infer")
-	slot, ok := s.leasePrimary()
-	if !ok {
-		inferSp.End()
-		writeErr(w, http.StatusServiceUnavailable, "%v", errNoModel)
-		return
-	}
-	preds, err := slot.engine.PredictCtx(ctx, t)
-	slot.engine.Release()
-	inferSp.End()
-	if err != nil {
-		s.writeInferErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toResponse(t, preds))
-	// Strictly after the response is written: shadow-score the request on a
-	// shadowing candidate, off this goroutine. The primary response bytes
-	// are final — shadowing cannot perturb them (bit-identity test).
-	s.maybeShadow([]*table.Table{t}, [][]core.ColumnPrediction{preds})
-}
-
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context() // root span "predict-batch" opened by the route middleware
-	_, parse := obs.StartSpan(ctx, "parse")
+// decodeBatch decodes a /v1/predict-batch body into its tables.
+func decodeBatch(w http.ResponseWriter, r *http.Request) ([]*table.Table, bool) {
 	var br BatchRequest
 	if !decodeJSONBody(w, r, maxBatchBodyBytes, &br) {
-		parse.End()
-		return
+		return nil, false
 	}
 	if len(br.Tables) == 0 {
-		parse.End()
 		writeErr(w, http.StatusBadRequest, "batch needs at least one table")
-		return
+		return nil, false
 	}
 	tables := make([]*table.Table, len(br.Tables))
 	for i := range br.Tables {
 		t, err := br.Tables[i].toTable()
 		if err != nil {
-			parse.End()
 			writeErr(w, http.StatusBadRequest, "table %d: %v", i, err)
-			return
+			return nil, false
 		}
 		tables[i] = t
 	}
-	parse.End()
+	return tables, true
+}
 
+// serveInfer is the one request path of /v1/predict, /v1/predict-batch and
+// /v1/index: decode the body into tables under a "parse" span, lease the
+// primary engine, run the tables through it under an "infer" span (one
+// PredictBatchCtx call when batch, else PredictCtx), release the lease, and
+// map any failure onto the wire. The spans nest under the root span the
+// route middleware opened, so their histograms are span.<route>.parse and
+// span.<route>.infer. ok is false when the error response has already been
+// written.
+func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request, batch bool,
+	decode func(http.ResponseWriter, *http.Request) ([]*table.Table, bool),
+) (tables []*table.Table, preds [][]core.ColumnPrediction, ok bool) {
+	ctx := r.Context()
+	_, parse := obs.StartSpan(ctx, "parse")
+	tables, ok = decode(w, r)
+	parse.End()
+	if !ok {
+		return nil, nil, false
+	}
 	_, inferSp := obs.StartSpan(ctx, "infer")
 	slot, ok := s.leasePrimary()
 	if !ok {
 		inferSp.End()
 		writeErr(w, http.StatusServiceUnavailable, "%v", errNoModel)
-		return
+		return nil, nil, false
 	}
-	batch, err := slot.engine.PredictBatchCtx(ctx, tables)
+	var err error
+	if batch {
+		preds, err = slot.engine.PredictBatchCtx(ctx, tables)
+	} else {
+		var p []core.ColumnPrediction
+		p, err = slot.engine.PredictCtx(ctx, tables[0])
+		preds = [][]core.ColumnPrediction{p}
+	}
 	slot.engine.Release()
 	inferSp.End()
 	if err != nil {
 		s.writeInferErr(w, err)
+		return nil, nil, false
+	}
+	return tables, preds, true
+}
+
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	tables, preds, ok := s.serveInfer(w, r, false, decodeTable(false))
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, toResponse(tables[0], preds[0]))
+	// Strictly after the response is written: shadow-score the request on a
+	// shadowing candidate, off this goroutine. The primary response bytes
+	// are final — shadowing cannot perturb them (bit-identity test).
+	s.maybeShadow(tables, preds)
+}
+
+func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
+	tables, batch, ok := s.serveInfer(w, r, true, decodeBatch)
+	if !ok {
 		return
 	}
 	resp := BatchResponse{Results: make([]PredictResponse, len(batch))}
@@ -885,34 +888,18 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	tr, ok := decodeTableRequest(w, r)
+	tables, preds, ok := s.serveInfer(w, r, false, decodeTable(true))
 	if !ok {
-		return
-	}
-	if tr.ID == "" {
-		writeErr(w, http.StatusBadRequest, "indexing requires a table id")
-		return
-	}
-	t, preds, err := s.predict(r.Context(), tr)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.writeInferErr(w, err)
-			return
-		}
-		if errors.Is(err, errNoModel) {
-			writeErr(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// One inference pass serves both the response and the index update. The
 	// lake retains the table itself so a model upgrade can re-type it
 	// (POST /v1/index/rescore); the SwapIndex dual-writes into any shadow
 	// build in progress so a concurrent re-score cannot lose this add.
+	t := tables[0]
 	s.lake.Put(t)
-	s.index.AddPredictions(t, preds)
-	resp := toResponse(t, preds)
+	s.index.AddPredictions(t, preds[0])
+	resp := toResponse(t, preds[0])
 	resp.Indexed = true
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -116,8 +116,9 @@ type EngineOption = infer.Option
 // WithWorkers sets the engine's prepare-stage worker count.
 var WithWorkers = infer.WithWorkers
 
-// WithMaxBatch sets how many tables the engine's Evaluate unions per
-// forward pass.
+// WithMaxBatch bounds how many tables the engine unions into one forward
+// pass: larger PredictBatch inputs are split into chunks of at most this
+// size.
 var WithMaxBatch = infer.WithMaxBatch
 
 // Train fits a Pythagoras model on corpus using the given table index
