@@ -13,9 +13,10 @@ check: build vet vet-perfbench lint-spans lint-alloc test race cover
 lint-spans:
 	$(GO) run ./cmd/lintspans
 
-# Hot-path allocation hygiene: internal/autodiff, internal/gnn and
-# internal/infer must use the Into/AddInto product kernels; the allocating
-# conveniences (tensor.MatMul & friends) fail the build there.
+# Hot-path allocation hygiene: internal/autodiff, internal/gnn,
+# internal/infer, internal/lm and internal/core must use the Into/AddInto
+# product kernels; the allocating conveniences (tensor.MatMul & friends)
+# fail the build there.
 lint-alloc:
 	$(GO) run ./cmd/lintalloc
 

@@ -1,6 +1,7 @@
 // Command lintalloc is the repo's hot-path allocation linter
 // (`make lint-alloc`): inside the packages that sit on the training and
-// inference hot paths — internal/autodiff, internal/gnn, internal/infer —
+// inference hot paths — internal/autodiff, internal/gnn, internal/infer,
+// internal/lm (the frozen encoder) and internal/core (prepare and forward) —
 // the allocating product conveniences tensor.MatMul, tensor.MatMulTransposeA
 // and tensor.MatMulTransposeB are forbidden. Those packages run per step and
 // per request; every product there must write into arena- or caller-owned
@@ -34,6 +35,8 @@ var restrictedDirs = []string{
 	filepath.Join("internal", "autodiff"),
 	filepath.Join("internal", "gnn"),
 	filepath.Join("internal", "infer"),
+	filepath.Join("internal", "lm"),
+	filepath.Join("internal", "core"),
 }
 
 // forbidden are the allocating conveniences; each names its required

@@ -3,6 +3,7 @@ package main
 import (
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,5 +84,35 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if code := run(root, os.Stderr); code != 0 {
 		t.Fatalf("lintalloc over repo root exited %d", code)
+	}
+}
+
+// TestRunCoversEncoderAndCore: a hot-path product that allocates in the
+// frozen encoder (internal/lm) or the model's prepare/forward
+// (internal/core) fails the run; the same call in a test file there, or in
+// a package off the hot path, does not.
+func TestRunCoversEncoderAndCore(t *testing.T) {
+	bad := "package p\nfunc f(a, b *tensor.Matrix) { _ = tensor.MatMul(a, b) }\n"
+	for _, dir := range []string{"lm", "core"} {
+		root := t.TempDir()
+		write := func(rel string) {
+			path := filepath.Join(root, rel)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(filepath.Join("internal", dir, "x_test.go"))
+		write(filepath.Join("internal", "experiments", "x.go"))
+		if code := run(root, io.Discard); code != 0 {
+			t.Fatalf("internal/%s: test file or cold package flagged (exit %d)", dir, code)
+		}
+		write(filepath.Join("internal", dir, "x.go"))
+		var out strings.Builder
+		if code := run(root, &out); code != 1 || !strings.Contains(out.String(), filepath.Join("internal", dir, "x.go")) {
+			t.Fatalf("internal/%s/x.go: exit %d, output %q; want exit 1 naming the file", dir, code, out.String())
+		}
 	}
 }

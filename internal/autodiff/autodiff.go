@@ -13,8 +13,9 @@
 // Steady-state a tape allocates nothing: ops are opcode records in a
 // reusable slice (no closures), Vars come from a block slab, and every
 // intermediate value, gradient, and scratch matrix comes from a per-tape
-// arena that Reset recycles. The first step through a fresh tape pays the
-// allocations; every following step of the same shapes reuses them. A Tape
+// arena that Reset recycles, keyed by size class so nearby shapes share a
+// buffer. The first step through a fresh tape pays the allocations; every
+// following step whose shapes fall in the same classes reuses them. A Tape
 // is not safe for concurrent use; build one per goroutine and Reset it
 // between steps.
 //
@@ -33,6 +34,7 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/sematype/pythagoras/internal/tensor"
@@ -83,7 +85,6 @@ const (
 	opConcatCols
 	opConcatRows
 	opSoftmaxXEnt
-	opL2Penalty
 	opSoftmax
 	opEdgeMix
 )
@@ -95,7 +96,7 @@ type opRecord struct {
 	kind opKind
 	out  *Var
 	a, b *Var
-	s    float64        // Scale factor, LeakyReLU slope, L2 λ, SoftmaxXEnt total weight
+	s    float64        // Scale factor, LeakyReLU slope, SoftmaxXEnt total weight
 	idx  []int          // gather/scatter indices, EdgeMix src, SoftmaxXEnt labels
 	idx2 []int          // EdgeMix dst
 	sc   []float64      // ScaleRows scales, SoftmaxXEnt weights, EdgeMix inv-degree
@@ -110,8 +111,9 @@ type Tape struct {
 	nextID int
 
 	// arena: value/grad/scratch matrices handed out by alloc, keyed by
-	// element count. used tracks every live arena matrix; Reset moves them
-	// back to free. Caller-owned matrices (Constant/Param) never enter.
+	// size class (the buffer's capacity, see sizeClass). used tracks every
+	// live arena matrix; Reset moves them back to free. Caller-owned
+	// matrices (Constant/Param) never enter.
 	free map[int][]*tensor.Matrix
 	used []*tensor.Matrix
 
@@ -133,7 +135,8 @@ func (t *Tape) Reset() {
 	t.ops = t.ops[:0]
 	t.nextID = 0
 	for i, m := range t.used {
-		t.free[len(m.Data)] = append(t.free[len(m.Data)], m)
+		c := cap(m.Data)
+		t.free[c] = append(t.free[c], m)
 		t.used[i] = nil
 	}
 	t.used = t.used[:0]
@@ -143,26 +146,47 @@ func (t *Tape) Reset() {
 	t.cur = 0
 }
 
-// alloc hands out a rows×cols matrix from the arena, recycling a same-size
-// buffer when one is free. Contents are UNDEFINED — every element must be
+// alloc hands out a rows×cols matrix from the arena, recycling a free
+// buffer of the same size class when one is there: Data is buf[:rows*cols]
+// with cap = the class. Contents are UNDEFINED — every element must be
 // written (the Into kernels and full-overwrite loops do). Use allocZero
 // when the op accumulates.
 func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
 	n := rows * cols
+	c := sizeClass(n)
 	if t.free == nil {
 		t.free = make(map[int][]*tensor.Matrix)
 	}
-	if list := t.free[n]; len(list) > 0 {
+	if list := t.free[c]; len(list) > 0 {
 		m := list[len(list)-1]
 		list[len(list)-1] = nil
-		t.free[n] = list[:len(list)-1]
-		m.Rows, m.Cols = rows, cols
+		t.free[c] = list[:len(list)-1]
+		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 		t.used = append(t.used, m)
 		return m
 	}
-	m := &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float64, n)}
+	m := &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, c)}
 	t.used = append(t.used, m)
 	return m
+}
+
+// minClass is the smallest arena buffer, in elements; every request at or
+// below it shares one class.
+const minClass = 64
+
+// sizeClass rounds an element count up to its arena size class. Above
+// minClass the classes form a quarter-step geometric ladder: for n in
+// (4q, 8q] with q = 2^(⌈log₂n⌉−3) the classes are 5q, 6q, 7q and 8q, so a
+// buffer is never more than 25% larger than the request it serves. An op
+// whose size varies from step to step keeps at most one buffer per class
+// it has spanned, and the classes up to C sum to under 6.5·C: retention
+// tracks the working set, not the number of distinct shapes served.
+func sizeClass(n int) int {
+	if n <= minClass {
+		return minClass
+	}
+	q := 1 << (bits.Len(uint(n-1)) - 3)
+	return (n + q - 1) &^ (q - 1)
 }
 
 // allocZero is alloc with the buffer zeroed.
@@ -420,9 +444,6 @@ func (t *Tape) backwardOp(r *opRecord) {
 			}
 			grow[lab] -= scale
 		}
-
-	case opL2Penalty:
-		t.grad(r.a).AddScaledInPlace(r.a.Value, r.s*g.Data[0])
 
 	case opSoftmax:
 		ga := t.grad(r.a)
@@ -827,22 +848,6 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Var, labels []int, weights []float64)
 	out := t.newVar(outVal, logits.needsGrad)
 	if out.needsGrad {
 		t.record(opRecord{kind: opSoftmaxXEnt, out: out, a: logits, idx: labels, sc: weights, aux: probs, s: totalW})
-	}
-	return out
-}
-
-// L2Penalty returns 0.5·λ·‖a‖² as a 1×1 Var (weight decay as an explicit
-// loss term).
-func (t *Tape) L2Penalty(a *Var, lambda float64) *Var {
-	var s float64
-	for _, v := range a.Value.Data {
-		s += v * v
-	}
-	outVal := t.alloc(1, 1)
-	outVal.Data[0] = 0.5 * lambda * s
-	out := t.newVar(outVal, a.needsGrad)
-	if out.needsGrad {
-		t.record(opRecord{kind: opL2Penalty, out: out, a: a, s: lambda})
 	}
 	return out
 }

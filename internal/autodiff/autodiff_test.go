@@ -300,20 +300,6 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	}
 }
 
-func TestL2PenaltyGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x := randMat(rng, 2, 3)
-	tape := NewTape()
-	vx := tape.Param(x)
-	loss := tape.L2Penalty(vx, 0.3)
-	tape.Backward(loss)
-	lossOf := func() float64 {
-		tp := NewTape()
-		return tp.L2Penalty(tp.Constant(x), 0.3).Value.Data[0]
-	}
-	checkGrad(t, "l2/x", x, vx.Grad, lossOf)
-}
-
 func TestMulScaleGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randMat(rng, 2, 3)

@@ -193,11 +193,9 @@ func newModel(cfg Config, types []string) *Model {
 	for i, st := range m.types {
 		m.labelIndex[st] = i
 	}
-	encDim := hidden
 	if cfg.HiddenDim > 0 {
 		hidden = cfg.HiddenDim
 	}
-	_ = encDim
 	stateDim := m.stateDim()
 	m.subnet = nn.NewLinear(p, "subnet", features.Dim, stateDim, rng)
 	dims := make([]int, cfg.GNNLayers+1)
@@ -301,12 +299,8 @@ func (m *Model) whitenStates(p *Prepared) {
 	if m.lmMean == nil {
 		return
 	}
-	ncf := map[int]bool{}
-	for _, i := range p.NCFIdx {
-		ncf[i] = true
-	}
-	for i := 0; i < p.LMStates.Rows; i++ {
-		if ncf[i] {
+	for i, nt := range p.Graph.Types {
+		if nt == graph.NodeNumericFeatures {
 			continue
 		}
 		row := p.LMStates.Row(i)
@@ -324,12 +318,8 @@ func (m *Model) fitStateScaling(ps []*Prepared) {
 	std := make([]float64, dim)
 	n := 0
 	for _, p := range ps {
-		ncf := map[int]bool{}
-		for _, i := range p.NCFIdx {
-			ncf[i] = true
-		}
-		for i := 0; i < p.LMStates.Rows; i++ {
-			if ncf[i] {
+		for i, nt := range p.Graph.Types {
+			if nt == graph.NodeNumericFeatures {
 				continue
 			}
 			for j, v := range p.LMStates.Row(i) {
@@ -345,12 +335,8 @@ func (m *Model) fitStateScaling(ps []*Prepared) {
 		mean[j] /= float64(n)
 	}
 	for _, p := range ps {
-		ncf := map[int]bool{}
-		for _, i := range p.NCFIdx {
-			ncf[i] = true
-		}
-		for i := 0; i < p.LMStates.Rows; i++ {
-			if ncf[i] {
+		for i, nt := range p.Graph.Types {
+			if nt == graph.NodeNumericFeatures {
 				continue
 			}
 			for j, v := range p.LMStates.Row(i) {

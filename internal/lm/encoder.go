@@ -3,6 +3,7 @@ package lm
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/sematype/pythagoras/internal/tensor"
 )
@@ -61,6 +62,34 @@ type Encoder struct {
 
 	tokenVecs *vecCache // hashed token embedding cache
 	textVecs  *vecCache // full-text CLS cache
+
+	scratch sync.Pool // of *workspace, one per in-flight EncodeTokens
+}
+
+// workspace is the scratch of one transformer pass. Every slot is resized
+// in place (grown only when its capacity is short), so a warm workspace
+// serves any sequence up to the longest it has seen without allocating.
+// Contents are UNDEFINED on reuse: each layer fully overwrites q, k, v,
+// attnOut, h1, ffn, ffnOut, scores and the output state slot, and re-zeroes
+// ctx because attention accumulates into it. state ping-pongs between the
+// layers: layer l reads state[l%2] and writes state[(l+1)%2]. tokens holds
+// Encode's "[CLS] text [SEP]" sequence.
+type workspace struct {
+	tokens                                 []string
+	state                                  [2]tensor.F32
+	q, k, v, ctx, attnOut, h1, ffn, ffnOut tensor.F32
+	scores                                 []float64
+}
+
+// resize shapes m as rows×cols on its own buffer when the capacity
+// suffices, growing it otherwise. Contents are undefined.
+func resize(m *tensor.F32, rows, cols int) *tensor.F32 {
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float32, n)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
 }
 
 // Cache bounds: both caches drop a full shard when it exceeds its share of
@@ -92,6 +121,7 @@ func NewEncoder(cfg Config) *Encoder {
 		tokenVecs: newVecCache(tokenCacheCap),
 		textVecs:  newVecCache(textCacheCap),
 	}
+	e.scratch.New = func() any { return new(workspace) }
 	scaled := func(rows, cols int) *tensor.F32 {
 		m := tensor.NewF32(rows, cols)
 		std := 1 / math.Sqrt(float64(rows))
@@ -236,17 +266,24 @@ func (e *Encoder) TokenEmbedding(token string) []float32 {
 
 // EncodeTokens runs the frozen transformer over a token sequence (already
 // including [CLS]/[SEP] as desired) and returns the final hidden state of
-// every token as a len(tokens)×Dim float32 matrix. Sequences longer than
-// MaxLen are truncated — the same hard limit the paper discusses for Doduo.
+// every token as a len(tokens)×Dim float32 matrix the caller owns. Sequences
+// longer than MaxLen are truncated — the same hard limit the paper
+// discusses for Doduo.
 func (e *Encoder) EncodeTokens(tokens []string) *tensor.F32 {
+	ws := e.scratch.Get().(*workspace)
+	h := e.encodeInto(ws, tokens)
+	out := &tensor.F32{Rows: h.Rows, Cols: h.Cols, Data: append([]float32(nil), h.Data...)}
+	e.scratch.Put(ws)
+	return out
+}
+
+// encodeInto is EncodeTokens on ws's scratch: the returned states alias
+// ws and are valid until ws is reused.
+func (e *Encoder) encodeInto(ws *workspace, tokens []string) *tensor.F32 {
 	if len(tokens) > e.cfg.MaxLen {
 		tokens = tokens[:e.cfg.MaxLen]
 	}
-	n := len(tokens)
-	if n == 0 {
-		return tensor.NewF32(0, e.cfg.Dim)
-	}
-	h := tensor.NewF32(n, e.cfg.Dim)
+	h := resize(&ws.state[0], len(tokens), e.cfg.Dim)
 	for i, tok := range tokens {
 		emb := e.TokenEmbedding(tok)
 		row := h.Row(i)
@@ -256,34 +293,36 @@ func (e *Encoder) EncodeTokens(tokens []string) *tensor.F32 {
 			row[j] += 0.1 * prow[j]
 		}
 	}
-	for _, lw := range e.layers {
-		h = e.encoderLayer(h, lw)
+	for l, lw := range e.layers {
+		h = e.encoderLayer(ws, h, &ws.state[(l+1)%2], lw)
 	}
 	return h
 }
 
-func matMulF32(a, b *tensor.F32) *tensor.F32 {
-	out := tensor.NewF32(a.Rows, b.Cols)
-	tensor.MatMulF32Into(out, a, b)
-	return out
-}
-
-// encoderLayer applies one frozen transformer block: multi-head
-// self-attention with residual + layernorm, then a GELU FFN with residual +
-// layernorm. All storage is float32; softmax and layernorm use float64
-// scalar math (exp/sqrt) on float32 inputs — still fully deterministic.
-func (e *Encoder) encoderLayer(h *tensor.F32, lw layerWeights) *tensor.F32 {
+// encoderLayer applies one frozen transformer block to h, writing the
+// result into out: multi-head self-attention with residual + layernorm,
+// then a GELU FFN with residual + layernorm. All storage is float32;
+// softmax and layernorm use float64 scalar math (exp/sqrt) on float32
+// inputs — still fully deterministic.
+func (e *Encoder) encoderLayer(ws *workspace, h, out *tensor.F32, lw layerWeights) *tensor.F32 {
 	n, dim := h.Rows, e.cfg.Dim
 	heads := e.cfg.Heads
 	hd := dim / heads
 
-	q := matMulF32(h, lw.wq)
-	k := matMulF32(h, lw.wk)
-	v := matMulF32(h, lw.wv)
+	q := resize(&ws.q, n, dim)
+	k := resize(&ws.k, n, dim)
+	v := resize(&ws.v, n, dim)
+	tensor.MatMulF32Into(q, h, lw.wq)
+	tensor.MatMulF32Into(k, h, lw.wk)
+	tensor.MatMulF32Into(v, h, lw.wv)
 
-	ctx := tensor.NewF32(n, dim)
+	ctx := resize(&ws.ctx, n, dim)
+	clear(ctx.Data)
 	scale := 1 / math.Sqrt(float64(hd))
-	scores := make([]float64, n)
+	if cap(ws.scores) < n {
+		ws.scores = make([]float64, n)
+	}
+	scores := ws.scores[:n]
 	for hd0 := 0; hd0 < heads; hd0++ {
 		off := hd0 * hd
 		for i := 0; i < n; i++ {
@@ -316,22 +355,25 @@ func (e *Encoder) encoderLayer(h *tensor.F32, lw layerWeights) *tensor.F32 {
 			}
 		}
 	}
-	attnOut := matMulF32(ctx, lw.wo)
-	h1 := tensor.NewF32(n, dim)
+	attnOut := resize(&ws.attnOut, n, dim)
+	tensor.MatMulF32Into(attnOut, ctx, lw.wo)
+	h1 := resize(&ws.h1, n, dim)
 	for i, hv := range h.Data {
 		h1.Data[i] = hv + attnOut.Data[i]
 	}
 	layerNormInPlaceF32(h1)
 
-	ffn := matMulF32(h1, lw.ffn1)
+	ffn := resize(&ws.ffn, n, e.cfg.FFNDim)
+	tensor.MatMulF32Into(ffn, h1, lw.ffn1)
 	for i := 0; i < n; i++ {
 		row := ffn.Row(i)
 		for j, bv := range lw.ffn1b.Data {
 			row[j] = geluF32(row[j] + bv)
 		}
 	}
-	ffnOut := matMulF32(ffn, lw.ffn2)
-	h2 := tensor.NewF32(n, dim)
+	ffnOut := resize(&ws.ffnOut, n, dim)
+	tensor.MatMulF32Into(ffnOut, ffn, lw.ffn2)
+	h2 := resize(out, n, dim)
 	for i := 0; i < n; i++ {
 		row := ffnOut.Row(i)
 		h1row := h1.Row(i)
@@ -382,11 +424,11 @@ func (e *Encoder) Encode(text string) []float32 {
 		return v
 	}
 
-	tokens := append([]string{TokenCLS}, e.tok.Tokenize(text)...)
-	tokens = append(tokens, TokenSEP)
-	states := e.EncodeTokens(tokens)
-	v := append([]float32(nil), states.Row(0)...)
-
+	ws := e.scratch.Get().(*workspace)
+	ws.tokens = append(append(append(ws.tokens[:0], TokenCLS), e.tok.Tokenize(text)...), TokenSEP)
+	v := append([]float32(nil), e.encodeInto(ws, ws.tokens).Row(0)...)
+	clear(ws.tokens) // drop the token strings: a pooled workspace must not pin them
+	e.scratch.Put(ws)
 	return e.textVecs.put(text, v)
 }
 

@@ -261,6 +261,7 @@ func TestPaperScaleConfigGeometry(t *testing.T) {
 
 func BenchmarkEncodeShortText(b *testing.B) {
 	e := NewEncoder(DefaultConfig())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// fresh cache each iteration to defeat it: measures real encode cost
