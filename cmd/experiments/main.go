@@ -15,11 +15,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"os"
 	"strings"
 
 	"github.com/sematype/pythagoras/internal/experiments"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 )
 
 func main() {
@@ -43,15 +43,16 @@ func main() {
 	default:
 		log.Fatalf("unknown scale %q (want quick, reduced or full)", *scaleName)
 	}
+	switch *logFormat {
+	case "json":
+		// Every log.Printf, progress lines included, becomes a JSON line.
+		slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
+	case "text":
+	default:
+		log.Fatalf("invalid -log-format %q (want text or json)", *logFormat)
+	}
 	if !*quiet {
 		scale.Logf = log.Printf
-		switch *logFormat {
-		case "json":
-			scale.Logf = logz.New(os.Stderr, logz.Info).With("component", "experiments").Printf()
-		case "text":
-		default:
-			log.Fatalf("invalid -log-format %q (want text or json)", *logFormat)
-		}
 	}
 	scale.Pythagoras.TrainWorkers = *trainWorkers
 

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"os"
@@ -34,7 +35,6 @@ import (
 	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/lm"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/obs/slo"
 	"github.com/sematype/pythagoras/internal/obs/watch"
 	"github.com/sematype/pythagoras/internal/par"
@@ -83,18 +83,16 @@ func buildEncoder(dim, layers int) *lm.Encoder {
 	})
 }
 
-// structuredLogger maps -log-format to a logz logger on stderr: "json"
-// returns one, "text" returns nil (keep the stdlib logger), anything else
-// is a flag error.
-func structuredLogger(format string) *logz.Logger {
+// setLogFormat applies -log-format. "json" makes the default slog logger
+// write JSON lines to stderr, which also routes every log.Printf through it;
+// "text" keeps the default logger; anything else is a flag error.
+func setLogFormat(format string) {
 	switch format {
 	case "json":
-		return logz.New(os.Stderr, logz.Info)
+		slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	case "text":
-		return nil
 	default:
 		log.Fatalf("invalid -log-format %q (want text or json)", format)
-		return nil
 	}
 }
 
@@ -120,10 +118,10 @@ func cmdTrain(args []string) {
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	dim, layers := encoderFlags(fs)
 	fs.Parse(args)
+	setLogFormat(*logFormat)
 	if *dataDir == "" {
 		log.Fatal("train: -data is required")
 	}
-	slog := structuredLogger(*logFormat)
 
 	c := loadCorpus(*dataDir)
 	if err := c.Validate(); err != nil {
@@ -138,9 +136,6 @@ func cmdTrain(args []string) {
 	cfg.Seed = *seed
 	cfg.TrainWorkers = *workers
 	cfg.Logf = log.Printf
-	if slog != nil {
-		cfg.Logf = slog.With("component", "train").Printf()
-	}
 	if *metrics {
 		reg := obs.NewRegistry()
 		cfg.Metrics = reg
@@ -299,7 +294,7 @@ func cmdServe(args []string) {
 	agreeWindow := fs.Duration("shadow-agreement-window", server.DefaultShadowAgreementWindow, "how long shadow agreement must stay below -shadow-agreement-min before auto-rollback")
 	dim, layers := encoderFlags(fs)
 	fs.Parse(args)
-	slog := structuredLogger(*logFormat)
+	setLogFormat(*logFormat)
 
 	// LoadServing resolves the checkpoint and its optional drift sidecar in
 	// one step — the same path POST /v1/models uses for candidates, so boot
@@ -324,7 +319,7 @@ func cmdServe(args []string) {
 	})
 	sloEng := slo.New(slo.DefaultObjectives(*sloTarget, time.Duration(*sloLatencyMs)*time.Millisecond))
 	opts := []server.Option{
-		server.WithLogger(log.Default()), server.WithDebug(*debug),
+		server.WithLogger(slog.Default().With("component", "server")), server.WithDebug(*debug),
 		server.WithRequestTimeout(*requestTimeout), server.WithMaxInflight(*maxInflight),
 		server.WithTraceRecorder(recorder), server.WithSLO(sloEng),
 		server.WithShadowSample(*shadowSample),
@@ -340,9 +335,6 @@ func cmdServe(args []string) {
 	}
 	if *rescoreCkpt != "" {
 		opts = append(opts, server.WithRescoreCheckpoint(*rescoreCkpt))
-	}
-	if slog != nil {
-		opts = append(opts, server.WithLogz(slog.With("component", "server")))
 	}
 	srv := server.NewWithEngine(eng, *minConf, opts...)
 	log.Printf("pythagoras serving on %s (vocabulary: %d types, debug=%v, request-timeout=%s, max-inflight=%d, slo-target=%g, slo-latency=%dms)",

@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -310,13 +310,13 @@ func TestQueuedRequestObservesDeadline(t *testing.T) {
 
 // TestShutdownDrainsInflight: Shutdown lets admitted requests finish (they
 // come back 200), turns new work away with 503, flips healthz to draining,
-// keeps /v1/metrics scrapable, and flushes a final metrics snapshot.
+// keeps /v1/metrics scrapable, and logs a final metrics snapshot.
 func TestShutdownDrainsInflight(t *testing.T) {
 	var logBuf bytes.Buffer
 	srvFaults := faultinject.New().
 		On(faultinject.ServerHandle, faultinject.Sleep(100*time.Millisecond))
 	s := chaosServer(t, nil, srvFaults,
-		WithMaxInflight(4), WithLogger(log.New(&logBuf, "", 0)))
+		WithMaxInflight(4), WithLogger(slog.New(slog.NewJSONHandler(&logBuf, nil))))
 
 	raw, _ := json.Marshal(sampleRequest(""))
 	const busy = 3
@@ -375,8 +375,25 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if mrec.Code != http.StatusOK {
 		t.Fatalf("metrics while draining: %d", mrec.Code)
 	}
-	if !strings.Contains(logBuf.String(), "final metrics") {
-		t.Fatal("Shutdown did not flush a final metrics snapshot")
+	var shutdown struct {
+		Msg            string  `json:"msg"`
+		TracesCaptured *uint64 `json:"traces_captured"`
+		Metrics        struct {
+			Counters map[string]uint64 `json:"counters"`
+		} `json:"metrics"`
+	}
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		if strings.Contains(line, `"msg":"shutdown drained"`) {
+			if err := json.Unmarshal([]byte(line), &shutdown); err != nil {
+				t.Fatalf("shutdown line not JSON: %v (%q)", err, line)
+			}
+		}
+	}
+	if shutdown.Msg == "" {
+		t.Fatalf("Shutdown did not log its event:\n%s", logBuf.String())
+	}
+	if shutdown.TracesCaptured == nil || shutdown.Metrics.Counters["http./v1/predict.requests"] < busy {
+		t.Fatalf("shutdown event lacks traces_captured or the final metrics snapshot: %+v", shutdown)
 	}
 	if s.Metrics().Snapshot().Gauges["http.draining"] != 1 {
 		t.Fatal("http.draining gauge not set")

@@ -45,7 +45,6 @@ import (
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/table"
 )
 
@@ -153,14 +152,10 @@ func (s *Server) retireSlot(slot *modelSlot, role string) {
 		return
 	}
 	id := slot.id
-	drained := s.drained
-	logger, slog := s.logger, s.slog
+	drained, lg := s.drained, s.log
 	slot.engine.Retire(func() {
 		drained.Inc()
-		if logger != nil {
-			logger.Printf("models: %s engine for %q drained and released", role, id)
-		}
-		slog.Log(logz.Info, "model engine drained", "model", id, "role", role)
+		lg.Info("model engine drained", "model", id, "role", role)
 	})
 }
 
@@ -169,10 +164,7 @@ func (s *Server) retireSlot(slot *modelSlot, role string) {
 func (s *Server) recordSwap(event, detail string) {
 	s.metrics.Counter(obs.Labels("models.swap", "event", event)).Inc()
 	s.sloEng.Annotate(event, detail)
-	if s.logger != nil {
-		s.logger.Printf("models: %s %s", event, detail)
-	}
-	s.slog.Log(logz.Info, "model "+event, "detail", detail)
+	s.log.Info("model swap", "event", event, "detail", detail)
 }
 
 // --- deterministic shadow sampling ---
@@ -201,7 +193,7 @@ func (s *Server) shadowSampled() bool {
 	case s.shadowSample >= 1:
 		return true
 	}
-	u := float64(splitmix64(s.shadowSeed+s.shadowSeq.Add(1))>>11) / float64(1<<53)
+	u := float64(splitmix64(shadowSeed+s.shadowSeq.Add(1))>>11) / float64(1<<53)
 	return u < s.shadowSample
 }
 
@@ -388,8 +380,9 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "load model %q: %v", path, err)
 		return
 	}
-	if bundle.DriftErr != nil && s.logger != nil {
-		s.logger.Printf("models: candidate %q drift sidecar unusable, shadowing without drift telemetry: %v", id, bundle.DriftErr)
+	if bundle.DriftErr != nil {
+		s.log.Warn("candidate drift sidecar unusable, shadowing without drift telemetry",
+			"model", id, "err", bundle.DriftErr.Error())
 	}
 
 	slot := &modelSlot{
@@ -454,7 +447,7 @@ func (s *Server) handleModelsPromote(w http.ResponseWriter, r *http.Request) {
 	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil {
 		// The swap is already visible; an injected fault here models a slow
 		// or crashing swap epilogue, not a failed swap.
-		s.slog.Log(logz.Warn, "swap fault injected", "err", err.Error())
+		s.log.Warn("swap fault injected", "err", err.Error())
 	}
 	s.retireSlot(cand, "shadow")
 	if prev := s.previous.Swap(old); prev != nil {
@@ -503,7 +496,7 @@ func (s *Server) handleModelsRollback(w http.ResponseWriter, r *http.Request) {
 	restored.drift.Register(s.metrics)
 	old := s.primary.Swap(restored)
 	if err := s.faults.Fire(r.Context(), faultinject.ServerSwap); err != nil {
-		s.slog.Log(logz.Warn, "swap fault injected", "err", err.Error())
+		s.log.Warn("swap fault injected", "err", err.Error())
 	}
 	s.retireSlot(old, "primary")
 	s.recordSwap("rollback", fmt.Sprintf("%q restored over %q", restored.id, old.id))

@@ -42,7 +42,6 @@ func TestMetricsEndpointAfterPredictBatch(t *testing.T) {
 		"infer.stage.union.seconds",
 		"infer.stage.forward.seconds",
 		"infer.stage.decode.seconds",
-		"http./v1/predict-batch.latency.seconds",
 		"span.predict-batch",
 		"span.predict-batch.parse",
 		"span.predict-batch.infer",

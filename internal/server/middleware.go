@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"runtime/debug"
@@ -12,7 +13,6 @@ import (
 
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 )
 
 // respWriter wraps the ResponseWriter for the whole middleware chain: it
@@ -119,37 +119,34 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// withAccessLog wraps the response in the chain's respWriter, emits one
-// structured line per completed request (when a logger is configured), and
-// flushes any intercepted plain-text error as JSON. Line format (stable,
-// key=value, space-separated):
+// withAccessLog wraps the response in the chain's respWriter, logs one
+// "request" event per completed request, and flushes any intercepted
+// plain-text error as JSON. The event's attributes, in order:
 //
-//	method=POST path=/v1/predict status=200 bytes=512 dur=1.234ms req_id=0a1b2c3d-000001
+//	method path status bytes dur_ms request_id trace_id
+//
+// dur_ms has microsecond resolution; trace_id joins the line to
+// GET /v1/traces. A server without WithLogger returns from LogAttrs before
+// any formatting.
 func (s *Server) withAccessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rw := &respWriter{ResponseWriter: w}
 		t0 := time.Now()
 		next.ServeHTTP(rw, r)
 		rw.finish()
+		dur := time.Since(t0)
 		// SLO accounting happens here, at the outermost timing point, so shed
 		// 429s and drain 503s (written by the admission middleware, below the
 		// mux) are debited exactly like handler responses.
 		if !exemptFromLimits(r.URL.Path) {
-			s.recordSLO(rw.statusOrDefault(), time.Since(t0))
+			s.recordSLO(rw.statusOrDefault(), dur)
 		}
-		if s.logger != nil {
-			s.logger.Printf("method=%s path=%s status=%d bytes=%d dur=%s req_id=%s",
-				r.Method, r.URL.Path, rw.statusOrDefault(), rw.bytes,
-				time.Since(t0).Round(time.Microsecond), requestIDFrom(r.Context()))
-		}
-		if s.slog != nil {
-			s.slog.Log(logz.Info, "request",
-				"method", r.Method, "path", r.URL.Path,
-				"status", rw.statusOrDefault(), "bytes", rw.bytes,
-				"dur_ms", float64(time.Since(t0))/float64(time.Millisecond),
-				"request_id", requestIDFrom(r.Context()),
-				"trace_id", rw.traceID)
-		}
+		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("method", r.Method), slog.String("path", r.URL.Path),
+			slog.Int("status", rw.statusOrDefault()), slog.Int("bytes", rw.bytes),
+			slog.Float64("dur_ms", float64(dur.Microseconds())/1e3),
+			slog.String("request_id", requestIDFrom(r.Context())),
+			slog.String("trace_id", rw.traceID))
 	})
 }
 
@@ -169,16 +166,10 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 				panic(rec)
 			}
 			panics.Inc()
-			if s.logger != nil {
-				s.logger.Printf("panic serving %s %s (req_id=%s): %v\n%s",
-					r.Method, r.URL.Path, requestIDFrom(r.Context()), rec, debug.Stack())
-			}
-			if s.slog != nil {
-				s.slog.Log(logz.Error, "panic",
-					"method", r.Method, "path", r.URL.Path,
-					"request_id", requestIDFrom(r.Context()),
-					"panic", fmt.Sprint(rec))
-			}
+			s.log.ErrorContext(r.Context(), "panic",
+				"method", r.Method, "path", r.URL.Path,
+				"request_id", requestIDFrom(r.Context()),
+				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 			if rw, ok := w.(*respWriter); ok {
 				rw.abandonIntercept()
 				if !rw.wroteHeader {
@@ -307,13 +298,13 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 			select {
 			case s.sem <- struct{}{}: // free slot, admitted immediately
 			default:
-				if int(s.queued.Add(1)) > s.maxQueue {
+				if int(s.queued.Add(1)) > s.maxInflight {
 					s.queued.Add(-1)
 					s.shed.Inc()
 					s.rejectTraced(w, r, func() {
 						w.Header().Set("Retry-After", "1")
 						writeErr(w, http.StatusTooManyRequests,
-							"server at capacity (%d in flight, %d queued)", s.maxInflight, s.maxQueue)
+							"server at capacity (%d in flight, %[1]d queued)", s.maxInflight)
 					})
 					return
 				}
@@ -351,10 +342,10 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 // route registers a handler with per-route metrics (DESIGN.md §8) and the
 // request's root span (DESIGN.md §11):
 //
-//	http.<path>.requests         counter
-//	http.<path>.errors           counter of ≥400 responses
-//	http.<path>.latency.seconds  histogram
-//	span.<name>[.<stage>...]     span-path latency histograms
+//	http.<path>.requests      counter
+//	http.<path>.errors        counter of ≥400 responses
+//	span.<name>[.<stage>...]  span-path latency histograms; span.<name>
+//	                          is the route's latency
 //
 // The pattern's method prefix ("POST /v1/predict") is stripped for metric
 // names, so both methods of a path share one series. The root span is named
@@ -372,9 +363,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	spanName := strings.TrimPrefix(path, "/v1/")
 	reqs := s.metrics.Counter("http." + path + ".requests")
 	errs := s.metrics.Counter("http." + path + ".errors")
-	lat := s.metrics.Histogram("http."+path+".latency.seconds", nil)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
 		reqs.Inc()
 		ctx := obs.WithRegistry(r.Context(), s.metrics)
 		if s.recorder != nil {
@@ -406,7 +395,6 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 			span.SetError()
 		}
 		span.End()
-		lat.Since(t0)
 	})
 }
 

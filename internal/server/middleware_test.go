@@ -2,8 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -66,7 +67,7 @@ func TestRequestIDPropagated(t *testing.T) {
 // the panic counter increments, and the server stays serviceable.
 func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	var buf bytes.Buffer
-	s := trainedServer(t, WithLogger(log.New(&buf, "", 0)))
+	s := trainedServer(t, WithLogger(slog.New(slog.NewTextHandler(&buf, nil))))
 	s.route("GET /test/panic", func(w http.ResponseWriter, r *http.Request) {
 		panic("boom")
 	})
@@ -81,8 +82,8 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	if got := s.Metrics().Counter("http.panics").Value(); got != 1 {
 		t.Fatalf("http.panics = %d, want 1", got)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("boom")) {
-		t.Fatal("panic value not logged")
+	if !regexp.MustCompile(`(?m)^time=\S+ level=ERROR msg=panic method=GET path=/test/panic request_id=\S+ panic=boom stack=".*goroutine `).Match(buf.Bytes()) {
+		t.Fatalf("panic event not logged with its value and stack:\n%s", buf.Bytes())
 	}
 	// Still alive afterwards.
 	if rec := getPath(t, s, "/v1/healthz"); rec.Code != http.StatusOK {
@@ -90,26 +91,30 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	}
 }
 
-// TestAccessLogFormat pins the stable key=value line format.
+// TestAccessLogFormat pins the access event's attributes, their order and
+// their value shapes, rendered by the stdlib text handler.
 func TestAccessLogFormat(t *testing.T) {
 	var buf bytes.Buffer
-	s := trainedServer(t, WithLogger(log.New(&buf, "", 0)))
+	s := trainedServer(t, WithLogger(slog.New(slog.NewTextHandler(&buf, nil))))
 	getPath(t, s, "/v1/healthz")
 
 	line := buf.String()
 	want := regexp.MustCompile(
-		`^method=GET path=/v1/healthz status=200 bytes=[1-9][0-9]* dur=\S+ req_id=[0-9a-f]{8}-[0-9]{6}\n$`)
+		`^time=[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}(Z|[+-][0-9]{2}:[0-9]{2}) ` +
+			`level=INFO msg=request method=GET path=/v1/healthz status=200 bytes=[1-9][0-9]* ` +
+			`dur_ms=[0-9]+(\.[0-9]{1,3})?(e\+[0-9]+)? request_id=[0-9a-f]{8}-[0-9]{6} trace_id=[0-9a-f]{16}\n$`)
 	if !want.MatchString(line) {
 		t.Fatalf("access log line %q does not match %q", line, want)
 	}
 }
 
-// TestAccessLogDisabledByDefault: no logger, no output — and requests still
-// flow.
+// TestAccessLogDisabledByDefault: no logger, no output — the default
+// logger is disabled at every level, so call sites format nothing — and
+// requests still flow.
 func TestAccessLogDisabledByDefault(t *testing.T) {
 	s := trainedServer(t)
-	if s.logger != nil {
-		t.Fatal("logger should default to nil")
+	if s.log.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("logger should discard everything by default")
 	}
 	if rec := getPath(t, s, "/v1/healthz"); rec.Code != http.StatusOK {
 		t.Fatalf("healthz = %d", rec.Code)

@@ -27,7 +27,7 @@
 //	                   before opening a measured window)
 //	GET  /v1/metrics   → JSON snapshot of the metrics registry: per-stage
 //	                   inference latency histograms, per-route request/
-//	                   error/latency series, encoder cache gauges, spans
+//	                   error counters, encoder cache gauges, span latencies
 //	GET  /v1/slo       → SLO status: objectives, windowed good/bad counts,
 //	                   remaining error budget and multi-window burn rates
 //	                   (DESIGN.md §13)
@@ -59,7 +59,7 @@
 // expiry aborts inference at the next stage boundary (DESIGN.md §9).
 // Shutdown(ctx) turns the server away from traffic (new requests get 503,
 // /v1/healthz reports draining), waits for in-flight requests to drain, and
-// flushes a final metrics snapshot through the logger.
+// logs a final metrics snapshot.
 package server
 
 import (
@@ -69,7 +69,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -83,7 +83,6 @@ import (
 	"github.com/sematype/pythagoras/internal/faultinject"
 	"github.com/sematype/pythagoras/internal/infer"
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/obs/slo"
 	"github.com/sematype/pythagoras/internal/obs/watch"
 	"github.com/sematype/pythagoras/internal/par"
@@ -113,10 +112,13 @@ const (
 // per-route error counters.
 const statusClientClosedRequest = 499
 
-// defaultShadowSeed seeds the deterministic shadow sampler when
-// WithShadowSeed is not given. Any fixed value works — determinism, not
-// unpredictability, is the point.
-const defaultShadowSeed uint64 = 0x5DEECE66D
+// shadowSeed seeds the deterministic shadow sampler. Any fixed value
+// works — determinism, not unpredictability, is the point.
+const shadowSeed uint64 = 0x5DEECE66D
+
+// bootModelID names the boot-time model in lifecycle telemetry and
+// GET /v1/models.
+const bootModelID = "boot"
 
 // Server wires the inference engine and index into an http.Handler.
 type Server struct {
@@ -134,10 +136,8 @@ type Server struct {
 	// the leak-checking tests) can prove none outlive the server.
 	shadowWG     sync.WaitGroup
 	shadowSample float64
-	shadowSeed   uint64
 	shadowSeq    atomic.Uint64
 	modelsDir    string
-	primaryID    string
 
 	// engineWorkers/engineMaxBatch clone the boot engine's configuration
 	// onto every lifecycle-created engine.
@@ -180,8 +180,7 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the middleware chain
 	metrics *obs.Registry
-	logger  *log.Logger  // legacy key=value access-log + panic sink; nil silences both
-	slog    *logz.Logger // structured JSON log (WithLogz); additive to logger
+	log     *slog.Logger // every server event; discards everything unless WithLogger
 	debug   bool         // mounts /debug/pprof/* and /debug/vars
 
 	// recorder samples per-request span trees into a ring buffer served at
@@ -202,7 +201,6 @@ type Server struct {
 	// again may wait in the admission queue, everything beyond is shed with
 	// 429. 0 disables admission control.
 	maxInflight int
-	maxQueue    int
 	sem         chan struct{} // counting semaphore, cap maxInflight
 	queued      atomic.Int64  // requests waiting in the admission queue
 	inflight    atomic.Int64  // admitted requests currently being served
@@ -225,18 +223,23 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Server) { s.metrics = reg }
 }
 
-// WithLogger enables the legacy key=value access log and panic reporting.
-func WithLogger(l *log.Logger) Option {
-	return func(s *Server) { s.logger = l }
+// WithLogger sends every server event to l: one access line per request
+// with the request ID and trace ID as fields (joinable against
+// /v1/traces), plus panics, model swaps, re-scores, watchdog errors and the
+// shutdown snapshot. Without it (or with nil) the server logs nothing.
+func WithLogger(l *slog.Logger) Option {
+	return func(s *Server) { s.log = l }
 }
 
-// WithLogz enables structured JSON logging: one object per request with the
-// request ID and trace ID as first-class fields (joinable against
-// /v1/traces), plus panic and lifecycle events. Additive to WithLogger —
-// both sinks receive events when both are configured.
-func WithLogz(l *logz.Logger) Option {
-	return func(s *Server) { s.slog = l }
-}
+// discardHandler is the logger behind a server built without WithLogger:
+// Enabled reports false, so every call site returns before formatting
+// anything. (slog.DiscardHandler only exists from Go 1.24.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // WithTraceRecorder supplies the trace recorder behind GET /v1/traces
 // (sampling rate, slow threshold and ring size are the recorder's). Without
@@ -287,18 +290,12 @@ func WithFaults(fs *faultinject.Set) Option {
 
 // WithShadowSample sets the fraction of live predict / predict-batch
 // traffic double-scored on a shadowing candidate (lifecycle.go), in [0, 1].
-// Sampling is deterministic from the shadow seed — the same request
-// sequence samples identically on every run. Default 1: every request is
+// Sampling is deterministic from a fixed seed — the same request sequence
+// samples identically on every run. Default 1: every request is
 // shadow-scored while a candidate is loaded (`serve -shadow-sample` tunes
 // it down for deployments where double-scoring everything is too dear).
 func WithShadowSample(f float64) Option {
 	return func(s *Server) { s.shadowSample = f }
-}
-
-// WithShadowSeed overrides the deterministic shadow sampler's seed —
-// test support for exercising different sampled subsets.
-func WithShadowSeed(seed uint64) Option {
-	return func(s *Server) { s.shadowSeed = seed }
 }
 
 // WithModelsDir confines POST /v1/models checkpoint paths to one directory:
@@ -306,12 +303,6 @@ func WithShadowSeed(seed uint64) Option {
 // default) any path the process can read is accepted.
 func WithModelsDir(dir string) Option {
 	return func(s *Server) { s.modelsDir = dir }
-}
-
-// WithModelID names the boot-time model in lifecycle telemetry and
-// GET /v1/models. Default "boot".
-func WithModelID(id string) Option {
-	return func(s *Server) { s.primaryID = id }
 }
 
 // WithRescoreCheckpoint sets the durable cursor path for lake re-score runs
@@ -350,13 +341,14 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 		mux:          http.NewServeMux(),
 		idPrefix:     newIDPrefix(),
 		shadowSample: 1,
-		shadowSeed:   defaultShadowSeed,
-		primaryID:    "boot",
 		agreeMin:     DefaultShadowAgreementMin,
 		agreeWindow:  DefaultShadowAgreementWindow,
 	}
 	for _, o := range opts {
 		o(s)
+	}
+	if s.log == nil {
+		s.log = slog.New(discardHandler{})
 	}
 	if s.metrics == nil {
 		s.metrics = eng.Metrics()
@@ -368,9 +360,6 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 
 	if s.maxInflight > 0 {
 		s.sem = make(chan struct{}, s.maxInflight)
-		if s.maxQueue <= 0 {
-			s.maxQueue = s.maxInflight
-		}
 	}
 	if s.recorder == nil {
 		s.recorder = obs.NewTraceRecorder(obs.TraceConfig{
@@ -396,12 +385,12 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 	s.engineMaxBatch = eng.MaxBatch()
 	s.drained = s.metrics.Counter("models.engines.drained")
 	boot := &modelSlot{
-		id:       s.primaryID,
+		id:       bootModelID,
 		model:    eng.Model(),
 		engine:   eng,
 		drift:    eng.Drift(),
 		loadedAt: time.Now(),
-		mx:       s.newSlotMetrics(s.primaryID),
+		mx:       s.newSlotMetrics(bootModelID),
 	}
 	boot.drift.RegisterLabeled(s.metrics, "model", boot.id) // nil-safe
 	s.primary.Store(boot)
@@ -460,8 +449,7 @@ func NewWithEngine(eng *infer.Engine, minConfidence float64, opts ...Option) *Se
 // Shutdown gracefully stops the server's request processing: it stops
 // accepting work (new requests are rejected with 503 and /v1/healthz flips
 // to draining — load balancers pull the instance), waits for admitted
-// in-flight requests to drain, and flushes a final metrics snapshot through
-// the logger. It returns ctx's error if the drain does not finish in time,
+// in-flight requests to drain, and logs a final metrics snapshot. It returns ctx's error if the drain does not finish in time,
 // with requests still running; callers pair it with http.Server.Shutdown,
 // which closes the listeners. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -501,13 +489,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.awaitRescore(ctx); err != nil {
 		return fmt.Errorf("server: shutdown aborted with a lake re-score in flight: %w", err)
 	}
-	if s.logger != nil {
-		if raw, err := json.Marshal(s.metrics.Snapshot()); err == nil {
-			s.logger.Printf("shutdown: drained, final metrics %s", raw)
-		}
+	if s.log.Enabled(ctx, slog.LevelInfo) {
+		raw, _ := json.Marshal(s.metrics.Snapshot())
+		s.log.InfoContext(ctx, "shutdown drained",
+			"traces_captured", s.recorder.Captured(), "metrics", json.RawMessage(raw))
 	}
-	s.slog.Log(logz.Info, "shutdown drained",
-		"traces_captured", s.recorder.Captured())
 	return nil
 }
 
@@ -552,9 +538,6 @@ func (s *Server) Lake() *rescore.Lake { return s.lake }
 
 // Metrics exposes the server's metrics registry.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Recorder exposes the server's trace recorder.
-func (s *Server) Recorder() *obs.TraceRecorder { return s.recorder }
 
 // SLO exposes the server's SLO engine.
 func (s *Server) SLO() *slo.Engine { return s.sloEng }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/sematype/pythagoras/internal/obs"
-	"github.com/sematype/pythagoras/internal/obs/logz"
 	"github.com/sematype/pythagoras/internal/obs/slo"
 	"github.com/sematype/pythagoras/internal/obs/watch"
 	"github.com/sematype/pythagoras/internal/rescore"
@@ -98,10 +97,7 @@ func (s *Server) initWatchdog() {
 		if err != nil {
 			// A broken flight dir must not stop the server from starting —
 			// alerting still works, only evidence capture is lost.
-			if s.logger != nil {
-				s.logger.Printf("watch: flight recorder disabled: %v", err)
-			}
-			s.slog.Log(logz.Error, "flight recorder disabled", "err", err.Error())
+			s.log.Error("flight recorder disabled", "err", err.Error())
 		} else {
 			s.flights = fd
 		}
@@ -136,8 +132,10 @@ func (s *Server) addWatchRules() {
 	// and throttles the background re-score so recovery capacity goes to
 	// live traffic. The clear restores the budget to its base.
 	s.watchdog.Add(watch.Rule{
-		Name:      "slo-fast-burn",
-		Signal:    func() (float64, bool) { return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate5m, a.Rate1h) }) },
+		Name: "slo-fast-burn",
+		Signal: func() (float64, bool) {
+			return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate5m, a.Rate1h) })
+		},
 		Threshold: slo.FastBurnThreshold,
 		CoolDown:  interval,
 		Capture:   true,
@@ -155,8 +153,10 @@ func (s *Server) addWatchRules() {
 		},
 	})
 	s.watchdog.Add(watch.Rule{
-		Name:      "slo-slow-burn",
-		Signal:    func() (float64, bool) { return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate30m, a.Rate6h) }) },
+		Name: "slo-slow-burn",
+		Signal: func() (float64, bool) {
+			return s.burnSignal(func(a slo.BurnAlert) float64 { return math.Min(a.Rate30m, a.Rate6h) })
+		},
 		Threshold: slo.SlowBurnThreshold,
 		CoolDown:  interval,
 		Capture:   true,
@@ -190,14 +190,15 @@ func (s *Server) addWatchRules() {
 		OnFire:    s.autoRollbackCandidate,
 	})
 
-	// Admission pressure: queue nearly full, and the shed rate per tick.
+	// Admission pressure: queue nearly full (it holds maxInflight waiters),
+	// and the shed rate per tick.
 	s.watchdog.Add(watch.Rule{
 		Name: "queue-saturated",
 		Signal: func() (float64, bool) {
-			if s.maxQueue <= 0 {
+			if s.maxInflight <= 0 {
 				return 0, false
 			}
-			return float64(s.queued.Load()) / float64(s.maxQueue), true
+			return float64(s.queued.Load()) / float64(s.maxInflight), true
 		},
 		Threshold: queueSaturationThreshold,
 		For:       interval,

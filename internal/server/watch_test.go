@@ -396,9 +396,9 @@ func TestWatchdogQueueAndShedRules(t *testing.T) {
 		t.Fatalf("shed-rate not firing: %+v", rep.Active)
 	}
 
-	// Queue saturation reads queued/maxQueue directly; fake it via the
+	// Queue saturation reads queued/maxInflight directly; fake it via the
 	// admission gauges the middleware maintains.
-	s.queued.Store(int64(s.maxQueue))
+	s.queued.Store(int64(s.maxInflight))
 	clk.advance(interval)
 	s.Watchdog().Tick()
 	clk.advance(interval)
